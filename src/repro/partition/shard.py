@@ -31,37 +31,7 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Tuple
 
 from repro import faultline
-from repro.trace.format import (
-    EVF_AFTER,
-    EVF_HAS_BT,
-    EVF_HAS_RESULT,
-    OP_ACCESS,
-    OP_DEFAULT,
-    OP_EVENT,
-    OP_MOV,
-    OP_OR2,
-    OP_POP,
-    OP_PUSH,
-    OP_SET0,
-    OP_STR,
-    OP_SUMMARY,
-    TraceFormatError,
-    read_varint,
-    unzigzag,
-)
-from repro.trace.replayer import (
-    R_ACCESS,
-    R_DEFAULT,
-    R_EVENT,
-    R_MOV,
-    R_OR2,
-    R_POP,
-    R_PUSH,
-    R_SET0,
-    R_SUMMARY,
-    ReplayVM,
-    _materialize,
-)
+from repro.trace.replayer import ReplayVM, _materialize, decode
 
 #: dotted task path for PersistentWorkerPool submission
 DECODE_SHARD_TASK = "repro.partition.shard:decode_shard"
@@ -126,175 +96,22 @@ def decode_slice(
 ) -> ShardArtifact:
     """Decode one payload slice into a :class:`ShardArtifact`.
 
-    A superset of :func:`repro.trace.replayer._decode` seeded with the
-    shard snapshot: the string table starts from ``strings``, access
-    addresses resolve against ``last_address``, and every surviving
-    event record gains a trailing absolute ``seq`` element (index 13).
-    ``fire_before``/``fire_after`` of ``None`` keep every event.
+    Runs the one trace decoder, :func:`repro.trace.replayer.decode`,
+    seeded with the shard snapshot: the string table starts from
+    ``strings``, access addresses resolve against ``last_address``, and
+    every surviving event record gains a trailing absolute ``seq``
+    element (index 13).  ``fire_before``/``fire_after`` of ``None`` keep
+    every event.
     """
-    table: List[str] = list(strings)
-    records: List[tuple] = []
-    append = records.append
-    pos = 0
-    end = len(payload)
-    n_records = 0
-    n_events = 0
-    n_pushes = 0
-    n_filtered = 0
-    saw_summary = False
-    seq = events_before
-
-    while pos < end:
-        op = payload[pos]
-        pos += 1
-
-        if op == OP_ACCESS:
-            delta, pos = read_varint(payload, pos)
-            size, pos = read_varint(payload, pos)
-            last_address += unzigzag(delta)
-            append((R_ACCESS, last_address, size))
-            n_records += 1
-
-        elif op == OP_EVENT:
-            flags, pos = read_varint(payload, pos)
-            kind_id, pos = read_varint(payload, pos)
-            tid, pos = read_varint(payload, pos)
-            frame_serial, pos = read_varint(payload, pos)
-            n_ops, pos = read_varint(payload, pos)
-            ops = []
-            for _ in range(n_ops):
-                value, pos = read_varint(payload, pos)
-                ops.append(unzigzag(value))
-            result = None
-            if flags & EVF_HAS_RESULT:
-                value, pos = read_varint(payload, pos)
-                result = unzigzag(value)
-            n_sizes, pos = read_varint(payload, pos)
-            sizes = []
-            for _ in range(n_sizes):
-                value, pos = read_varint(payload, pos)
-                sizes.append(value)
-            result_size, pos = read_varint(payload, pos)
-            n_regs, pos = read_varint(payload, pos)
-            operand_regs = []
-            for _ in range(n_regs):
-                value, pos = read_varint(payload, pos)
-                operand_regs.append(None if value == 0 else table[value - 1])
-            result_reg_id, pos = read_varint(payload, pos)
-            loc_id, pos = read_varint(payload, pos)
-            loc = table[loc_id]
-            bt_top = loc
-            if flags & EVF_HAS_BT:
-                bt_id, pos = read_varint(payload, pos)
-                bt_top = table[bt_id]
-            n_records += 1
-            n_events += 1
-            seq += 1
-            after = bool(flags & EVF_AFTER)
-            kind = table[kind_id]
-            firing = fire_after if after else fire_before
-            if firing is not None and kind not in firing:
-                n_filtered += 1
-                continue
-            append((
-                R_EVENT,
-                after,
-                kind,
-                tid,
-                frame_serial,
-                tuple(ops),
-                result,
-                tuple(sizes),
-                result_size,
-                tuple(operand_regs),
-                None if result_reg_id == 0 else table[result_reg_id - 1],
-                loc,
-                bt_top,
-                seq,
-            ))
-
-        elif op == OP_STR:
-            length, pos = read_varint(payload, pos)
-            table.append(payload[pos:pos + length].decode("utf-8"))
-            pos += length
-
-        elif op == OP_OR2:
-            frame_serial, pos = read_varint(payload, pos)
-            dst_id, pos = read_varint(payload, pos)
-            lhs_id, pos = read_varint(payload, pos)
-            rhs_id, pos = read_varint(payload, pos)
-            n_records += 1
-            if not keep_shadow:
-                n_filtered += 1
-                continue
-            append((
-                R_OR2,
-                frame_serial,
-                table[dst_id],
-                None if lhs_id == 0 else table[lhs_id - 1],
-                None if rhs_id == 0 else table[rhs_id - 1],
-            ))
-
-        elif op == OP_SET0 or op == OP_DEFAULT:
-            frame_serial, pos = read_varint(payload, pos)
-            reg_id, pos = read_varint(payload, pos)
-            n_records += 1
-            if not keep_shadow:
-                n_filtered += 1
-                continue
-            append((R_SET0 if op == OP_SET0 else R_DEFAULT,
-                    frame_serial, table[reg_id]))
-
-        elif op == OP_MOV:
-            dst_serial, pos = read_varint(payload, pos)
-            dst_id, pos = read_varint(payload, pos)
-            src_serial, pos = read_varint(payload, pos)
-            src_id, pos = read_varint(payload, pos)
-            n_records += 1
-            if not keep_shadow:
-                n_filtered += 1
-                continue
-            append((
-                R_MOV,
-                dst_serial,
-                table[dst_id],
-                src_serial,
-                None if src_id == 0 else table[src_id - 1],
-            ))
-
-        elif op == OP_PUSH:
-            tid, pos = read_varint(payload, pos)
-            entry_id, pos = read_varint(payload, pos)
-            append((R_PUSH, tid,
-                    None if entry_id == 0 else table[entry_id - 1]))
-            n_records += 1
-            n_pushes += 1
-
-        elif op == OP_POP:
-            frame_serial, pos = read_varint(payload, pos)
-            tid, pos = read_varint(payload, pos)
-            append((R_POP, frame_serial, tid))
-            n_records += 1
-
-        elif op == OP_SUMMARY:
-            base_cycles, pos = read_varint(payload, pos)
-            instructions, pos = read_varint(payload, pos)
-            mem_cycles, pos = read_varint(payload, pos)
-            heap_peak, pos = read_varint(payload, pos)
-            _n_events, pos = read_varint(payload, pos)
-            _n_accesses, pos = read_varint(payload, pos)
-            append((R_SUMMARY, base_cycles, instructions, mem_cycles, heap_peak))
-            n_records += 1
-            saw_summary = True
-
-        else:
-            raise TraceFormatError(f"unknown opcode {op} at offset {pos - 1}")
-
+    records, n_events, n_pushes, n_filtered, saw_summary = decode(
+        payload, strings, last_address, events_before,
+        fire_before, fire_after, keep_shadow,
+    )
     return ShardArtifact(
         index=index,
         records=records,
         records_before=records_before,
-        n_records=n_records,
+        n_records=len(records) + n_filtered,
         events_before=events_before,
         n_events=n_events,
         next_serial_before=next_serial_before,

@@ -132,6 +132,15 @@ def write_varint(out: bytearray, value: int) -> None:
             return
 
 
+def _put(buf: bytearray, *fields: int) -> None:
+    """Append unsigned varints, writing single-byte ones inline."""
+    for value in fields:
+        if value < 0x80:
+            buf.append(value)
+        else:
+            write_varint(buf, value)
+
+
 def zigzag(value: int) -> int:
     # Arbitrary-precision zigzag (register values may exceed 64 bits:
     # the VM masks logical ops but not add/mul).
@@ -187,6 +196,8 @@ class TraceWriter:
         self._compress = zlib.compressobj(6)
         self._sha = hashlib.sha256()
         self._strings: Dict[str, int] = {}
+        #: event site (loc, sizes, result size, regs) -> its tail bytes
+        self._sites: Dict[tuple, bytes] = {}
         self._last_address = 0
         self._next_serial = 0
         self.n_events = 0
@@ -299,6 +310,22 @@ class TraceWriter:
         return ident
 
     # -- records -------------------------------------------------------
+    def _event_tail(self, loc: str, sizes: Tuple[int, ...], result_size: int,
+                    operand_regs: Tuple[Optional[str], ...],
+                    result_reg: Optional[str]) -> bytes:
+        """Intern one event site's strings and return its tail bytes.
+
+        The tail (sizes, result size, operand/result register ids, loc
+        id) depends only on the site, so :meth:`event` caches it.
+        """
+        loc_id = self.intern(loc)
+        reg_ids = [0 if reg is None else self.intern(reg) + 1 for reg in operand_regs]
+        result_reg_id = 0 if result_reg is None else self.intern(result_reg) + 1
+        tail = bytearray()
+        _put(tail, len(sizes), *sizes, result_size, len(reg_ids), *reg_ids,
+             result_reg_id, loc_id)
+        return bytes(tail)
+
     def event(
         self,
         after: bool,
@@ -316,65 +343,67 @@ class TraceWriter:
     ) -> None:
         if self._seg_target is not None and not after:
             self._maybe_cut(soft=True)
-        kind_id = self.intern(kind)
-        loc_id = self.intern(loc)
-        reg_ids = tuple(
-            0 if reg is None else self.intern(reg) + 1 for reg in operand_regs
-        )
-        result_reg_id = 0 if result_reg is None else self.intern(result_reg) + 1
-        flags = 0
-        bt_id = 0
+        # Intern order (kind, loc, operand regs, result reg, bt) is part
+        # of the byte format: string ids are assigned in first-use order.
+        kind_id = self._strings.get(kind)
+        if kind_id is None:
+            kind_id = self.intern(kind)
+        key = (loc, sizes, result_size, operand_regs, result_reg)
+        tail = self._sites.get(key)
+        if tail is None:
+            tail = self._sites[key] = self._event_tail(*key)
+        flags = EVF_AFTER if after else 0
         if result is not None:
             flags |= EVF_HAS_RESULT
-        if after:
-            flags |= EVF_AFTER
         if bt_top != loc:
             flags |= EVF_HAS_BT
             bt_id = self.intern(bt_top)
         buf = self._buf
-        buf.append(OP_EVENT)
-        write_varint(buf, flags)
-        write_varint(buf, kind_id)
-        write_varint(buf, tid)
-        write_varint(buf, frame_serial)
-        write_varint(buf, len(ops))
-        for op in ops:
-            write_varint(buf, zigzag(op))
+        append = buf.append
+        append(OP_EVENT)
+        append(flags)
+        # Single-byte varints inline; write_varint is the slow path.
+        for value in (kind_id, tid, frame_serial, len(ops)):
+            if value < 0x80:
+                append(value)
+            else:
+                write_varint(buf, value)
+        for value in ops:
+            value = (value << 1) if value >= 0 else ((-value << 1) - 1)
+            if value < 0x80:
+                append(value)
+            else:
+                write_varint(buf, value)
         if result is not None:
-            write_varint(buf, zigzag(result))
-        write_varint(buf, len(sizes))
-        for size in sizes:
-            write_varint(buf, size)
-        write_varint(buf, result_size)
-        write_varint(buf, len(reg_ids))
-        for reg_id in reg_ids:
-            write_varint(buf, reg_id)
-        write_varint(buf, result_reg_id)
-        write_varint(buf, loc_id)
+            value = (result << 1) if result >= 0 else ((-result << 1) - 1)
+            if value < 0x80:
+                append(value)
+            else:
+                write_varint(buf, value)
+        buf += tail
         if flags & EVF_HAS_BT:
-            write_varint(buf, bt_id)
+            if bt_id < 0x80:
+                append(bt_id)
+            else:
+                write_varint(buf, bt_id)
         self.n_events += 1
         self.n_records += 1
-        self._maybe_flush()
+        if len(buf) >= self._FLUSH_BYTES:
+            self._maybe_flush()
         if self._seg_target is not None and after and kind in SYNC_CUT_KINDS:
             self._maybe_cut()
 
     def access(self, address: int, size: int) -> None:
-        buf = self._buf
-        buf.append(OP_ACCESS)
-        write_varint(buf, zigzag(address - self._last_address))
-        write_varint(buf, size)
+        delta = address - self._last_address
+        _put(self._buf, OP_ACCESS,
+             (delta << 1) if delta >= 0 else ((-delta << 1) - 1), size)
         self._last_address = address
         self.n_accesses += 1
         self.n_records += 1
         self._maybe_flush()
 
     def shadow_set0(self, serial: int, reg: str) -> None:
-        reg_id = self.intern(reg)
-        buf = self._buf
-        buf.append(OP_SET0)
-        write_varint(buf, serial)
-        write_varint(buf, reg_id)
+        _put(self._buf, OP_SET0, serial, self.intern(reg))
         self.n_shadow_ops += 1
         self.n_records += 1
         if self._seg_target is not None:
@@ -385,12 +414,7 @@ class TraceWriter:
         dst_id = self.intern(dst)
         lhs_id = 0 if lhs is None else self.intern(lhs) + 1
         rhs_id = 0 if rhs is None else self.intern(rhs) + 1
-        buf = self._buf
-        buf.append(OP_OR2)
-        write_varint(buf, serial)
-        write_varint(buf, dst_id)
-        write_varint(buf, lhs_id)
-        write_varint(buf, rhs_id)
+        _put(self._buf, OP_OR2, serial, dst_id, lhs_id, rhs_id)
         self.n_shadow_ops += 1
         self.n_records += 1
         if self._seg_target is not None:
@@ -407,12 +431,7 @@ class TraceWriter:
                    src: Optional[str]) -> None:
         dst_id = self.intern(dst)
         src_id = 0 if src is None else self.intern(src) + 1
-        buf = self._buf
-        buf.append(OP_MOV)
-        write_varint(buf, dst_serial)
-        write_varint(buf, dst_id)
-        write_varint(buf, src_serial)
-        write_varint(buf, src_id)
+        _put(self._buf, OP_MOV, dst_serial, dst_id, src_serial, src_id)
         self.n_shadow_ops += 1
         self.n_records += 1
         if self._seg_target is not None:
@@ -422,11 +441,7 @@ class TraceWriter:
             self._live[dst_serial][2][dst] = value
 
     def shadow_default(self, serial: int, reg: str) -> None:
-        reg_id = self.intern(reg)
-        buf = self._buf
-        buf.append(OP_DEFAULT)
-        write_varint(buf, serial)
-        write_varint(buf, reg_id)
+        _put(self._buf, OP_DEFAULT, serial, self.intern(reg))
         self.n_shadow_ops += 1
         self.n_records += 1
         if self._seg_target is not None:
@@ -437,10 +452,7 @@ class TraceWriter:
         if self._seg_target is not None:
             self._maybe_cut()
         entry_id = 0 if caller_entry is None else self.intern(caller_entry) + 1
-        buf = self._buf
-        buf.append(OP_PUSH)
-        write_varint(buf, tid)
-        write_varint(buf, entry_id)
+        _put(self._buf, OP_PUSH, tid, entry_id)
         serial = self._next_serial
         self._next_serial += 1
         self.n_records += 1
@@ -449,10 +461,7 @@ class TraceWriter:
         return serial
 
     def frame_pop(self, serial: int, tid: int) -> None:
-        buf = self._buf
-        buf.append(OP_POP)
-        write_varint(buf, serial)
-        write_varint(buf, tid)
+        _put(self._buf, OP_POP, serial, tid)
         self.n_records += 1
         if self._seg_target is not None:
             self._live.pop(serial, None)
@@ -461,14 +470,8 @@ class TraceWriter:
     def summary(self, base_cycles: int, instructions: int, mem_cycles: int,
                 heap_peak_bytes: int) -> None:
         self.n_records += 1
-        buf = self._buf
-        buf.append(OP_SUMMARY)
-        write_varint(buf, base_cycles)
-        write_varint(buf, instructions)
-        write_varint(buf, mem_cycles)
-        write_varint(buf, heap_peak_bytes)
-        write_varint(buf, self.n_events)
-        write_varint(buf, self.n_accesses)
+        _put(self._buf, OP_SUMMARY, base_cycles, instructions, mem_cycles,
+             heap_peak_bytes, self.n_events, self.n_accesses)
         self._meta["summary"] = {
             "base_cycles": base_cycles,
             "instructions": instructions,
@@ -715,10 +718,12 @@ class TraceReader:
         return bad
 
     def records(self) -> Iterator[Tuple]:
-        """Generic record iterator (slow path; replayer decodes inline).
+        """Generic record iterator: the plain reference decoder.
 
         Yields tuples whose first element is the opcode; string ids are
-        resolved to the interned text.
+        resolved to the interned text.  Replay uses the fast decoder,
+        :func:`repro.trace.replayer.decode`, which tests check against
+        this one.
         """
         buf = self.payload
         pos = 0

@@ -81,14 +81,19 @@ class TraceRecorder(ExecutionTracer):
         self._writer.shadow_default(self._serials[id(shadow)], reg)
 
     # -- event capture -------------------------------------------------
-    def _make_callback(self, after: bool):
-        writer = self._writer
+    def _make_callback(self, vm: Interpreter, after: bool):
+        event = self._writer.event
         serials = self._serials
+        bt_entry = vm._bt_entry
 
         def callback(ctx):
-            vm = ctx.vm
-            top = vm.backtrace(1)
-            writer.event(
+            # The top entry of ``vm.backtrace(1)``, without the tuple.
+            thread = vm._current_thread
+            if thread is not None and thread.frames:
+                top = bt_entry(thread.frames[-1])
+            else:
+                top = ctx.loc
+            event(
                 after,
                 ctx.kind,
                 ctx.tid,
@@ -100,7 +105,7 @@ class TraceRecorder(ExecutionTracer):
                 ctx.operand_regs,
                 ctx.result_reg,
                 ctx.loc,
-                top[0] if top else ctx.loc,
+                top,
             )
 
         # The recorder is pure observation: bill nothing to the profile.
@@ -123,8 +128,8 @@ class TraceRecorder(ExecutionTracer):
 
         vm.cache.access = recording_access
 
-        before = self._make_callback(after=False)
-        after = self._make_callback(after=True)
+        before = self._make_callback(vm, after=False)
+        after = self._make_callback(vm, after=True)
         for kind in sorted(INSTRUMENTABLE_KINDS):
             vm.hooks.add_instruction("before", kind, before)
             vm.hooks.add_instruction("after", kind, after)

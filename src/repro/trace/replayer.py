@@ -33,7 +33,7 @@ pays the decode a single time.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.vm.cache import CacheConfig, CacheSim
 from repro.vm.events import EventContext, Hooks
@@ -57,7 +57,6 @@ from repro.trace.format import (
     TraceFormatError,
     TraceReader,
     read_varint,
-    unzigzag,
 )
 
 # Mirrors repro.vm.interpreter's constants; replay must bill identically.
@@ -112,143 +111,222 @@ def _materialize(source):
     return source()
 
 
-def _decode(payload: bytes) -> List[tuple]:
-    """One pass over the varint payload into resolved record tuples.
+def _decode_tail(buf: bytes, pos: int, table: List[str]) -> Tuple[tuple, int]:
+    """An event's site tail, field by field: (fields, end offset)."""
+    n_sizes, pos = read_varint(buf, pos)
+    sizes = []
+    for _ in range(n_sizes):
+        value, pos = read_varint(buf, pos)
+        sizes.append(value)
+    result_size, pos = read_varint(buf, pos)
+    n_regs, pos = read_varint(buf, pos)
+    regs = []
+    for _ in range(n_regs):
+        value, pos = read_varint(buf, pos)
+        regs.append(None if value == 0 else table[value - 1])
+    result_reg_id, pos = read_varint(buf, pos)
+    loc_id, pos = read_varint(buf, pos)
+    result_reg = None if result_reg_id == 0 else table[result_reg_id - 1]
+    return (tuple(sizes), result_size, tuple(regs), result_reg, table[loc_id]), pos
+
+
+def decode(
+    payload: bytes,
+    strings: Sequence[str] = (),
+    last_address: int = 0,
+    events_before: Optional[int] = None,
+    fire_before: Optional[FrozenSet[str]] = None,
+    fire_after: Optional[FrozenSet[str]] = None,
+    keep_shadow: bool = True,
+) -> Tuple[List[tuple], int, int, int, bool]:
+    """The trace decoder: one pass over a varint payload into record tuples.
 
     Strings are interned to Python objects, access-address deltas are
     resolved to absolute addresses, and event operand/size lists become
     tuples — everything a replay pass would otherwise redo per analysis.
+    :meth:`repro.trace.format.TraceReader.records` is the plain reference
+    this must agree with.  Nearly every field is a one-byte varint, read
+    inline; :func:`read_varint` is the slow path for longer ones.  An
+    event's tail (sizes, result size, register ids, loc id) is fixed per
+    recording site, so its decoded fields are cached by its bytes.
+
+    A payload slice decodes standalone when seeded with the string table
+    and last access address at its first record.  With ``events_before``
+    set (partitioned replay), each kept event gains a trailing absolute
+    ``seq`` element, events whose kind is not in ``fire_before`` /
+    ``fire_after`` (when given) are dropped, and so are shadow records
+    unless ``keep_shadow``.
+
+    Returns ``(records, n_events, n_pushes, n_filtered, saw_summary)``.
+    Malformed input raises :class:`TraceFormatError` with its offset.
     """
     buf = payload
-    pos = 0
+    pos = start = 0
     end = len(buf)
-    strings: List[str] = []
+    table: List[str] = list(strings)
     records: List[tuple] = []
     append = records.append
-    last_address = 0
+    #: one-byte-field tail bytes -> decoded tail fields
+    tails: Dict[bytes, tuple] = {}
+    slicing = events_before is not None
+    n_events = n_pushes = n_filtered = 0
+    saw_summary = False
 
-    while pos < end:
-        op = buf[pos]
-        pos += 1
+    try:
+        while pos < end:
+            start = pos
+            op = buf[pos]
+            pos += 1
 
-        if op == OP_ACCESS:
-            delta, pos = read_varint(buf, pos)
-            size, pos = read_varint(buf, pos)
-            last_address += unzigzag(delta)
-            append((R_ACCESS, last_address, size))
+            if op == OP_EVENT:
+                flags = buf[pos]
+                pos += 1
+                if flags > 0x7F:
+                    flags, pos = read_varint(buf, pos - 1)
+                kind_id = buf[pos]
+                pos += 1
+                if kind_id > 0x7F:
+                    kind_id, pos = read_varint(buf, pos - 1)
+                tid = buf[pos]
+                pos += 1
+                if tid > 0x7F:
+                    tid, pos = read_varint(buf, pos - 1)
+                frame_serial = buf[pos]
+                pos += 1
+                if frame_serial > 0x7F:
+                    frame_serial, pos = read_varint(buf, pos - 1)
+                n_ops = buf[pos]
+                pos += 1
+                if n_ops > 0x7F:
+                    n_ops, pos = read_varint(buf, pos - 1)
+                ops = []
+                for _ in range(n_ops):
+                    value = buf[pos]
+                    pos += 1
+                    if value > 0x7F:
+                        value, pos = read_varint(buf, pos - 1)
+                    ops.append((value >> 1) ^ -(value & 1))  # unzigzag
+                result = None
+                if flags & EVF_HAS_RESULT:
+                    value = buf[pos]
+                    pos += 1
+                    if value > 0x7F:
+                        value, pos = read_varint(buf, pos - 1)
+                    result = (value >> 1) ^ -(value & 1)
+                # Where the tail ends if all its fields are one byte long;
+                # only such (ASCII) tails are cached, so a hit is exact.
+                tail_end = pos + buf[pos] + 2
+                if buf[pos] < 0x80:
+                    tail_end += buf[tail_end] + 3
+                raw = buf[pos:tail_end]
+                tail = tails.get(raw)
+                if tail is None:
+                    tail, pos = _decode_tail(buf, pos, table)
+                    if pos == tail_end and raw.isascii():
+                        tails[raw] = tail
+                else:
+                    pos = tail_end
+                sizes, result_size, operand_regs, result_reg, loc = tail
+                bt_top = loc
+                if flags & EVF_HAS_BT:
+                    value = buf[pos]
+                    pos += 1
+                    if value > 0x7F:
+                        value, pos = read_varint(buf, pos - 1)
+                    bt_top = table[value]
+                kind = table[kind_id]
+                n_events += 1
+                event = (R_EVENT, (flags & EVF_AFTER) != 0, kind, tid, frame_serial,
+                         tuple(ops), result, sizes, result_size, operand_regs,
+                         result_reg, loc, bt_top)
+                if slicing:
+                    firing = fire_after if flags & EVF_AFTER else fire_before
+                    if firing is not None and kind not in firing:
+                        n_filtered += 1
+                        continue
+                    event += (events_before + n_events,)
+                append(event)
 
-        elif op == OP_EVENT:
-            flags, pos = read_varint(buf, pos)
-            kind_id, pos = read_varint(buf, pos)
-            tid, pos = read_varint(buf, pos)
-            frame_serial, pos = read_varint(buf, pos)
-            n_ops, pos = read_varint(buf, pos)
-            ops = []
-            for _ in range(n_ops):
-                value, pos = read_varint(buf, pos)
-                ops.append(unzigzag(value))
-            result = None
-            if flags & EVF_HAS_RESULT:
-                value, pos = read_varint(buf, pos)
-                result = unzigzag(value)
-            n_sizes, pos = read_varint(buf, pos)
-            sizes = []
-            for _ in range(n_sizes):
-                value, pos = read_varint(buf, pos)
-                sizes.append(value)
-            result_size, pos = read_varint(buf, pos)
-            n_regs, pos = read_varint(buf, pos)
-            operand_regs = []
-            for _ in range(n_regs):
-                value, pos = read_varint(buf, pos)
-                operand_regs.append(None if value == 0 else strings[value - 1])
-            result_reg_id, pos = read_varint(buf, pos)
-            loc_id, pos = read_varint(buf, pos)
-            loc = strings[loc_id]
-            bt_top = loc
-            if flags & EVF_HAS_BT:
-                bt_id, pos = read_varint(buf, pos)
-                bt_top = strings[bt_id]
-            append((
-                R_EVENT,
-                bool(flags & EVF_AFTER),
-                strings[kind_id],
-                tid,
-                frame_serial,
-                tuple(ops),
-                result,
-                tuple(sizes),
-                result_size,
-                tuple(operand_regs),
-                None if result_reg_id == 0 else strings[result_reg_id - 1],
-                loc,
-                bt_top,
-            ))
+            elif op == OP_ACCESS:
+                value = buf[pos]
+                pos += 1
+                if value > 0x7F:
+                    value, pos = read_varint(buf, pos - 1)
+                size = buf[pos]
+                pos += 1
+                if size > 0x7F:
+                    size, pos = read_varint(buf, pos - 1)
+                last_address += (value >> 1) ^ -(value & 1)
+                append((R_ACCESS, last_address, size))
 
-        elif op == OP_STR:
-            length, pos = read_varint(buf, pos)
-            strings.append(buf[pos:pos + length].decode("utf-8"))
-            pos += length
+            elif OP_SET0 <= op <= OP_DEFAULT:  # shadow dataflow
+                # Two or four one-byte fields: serial, reg id(s).
+                frame_serial = buf[pos]
+                dst_id = buf[pos + 1]
+                if (frame_serial | dst_id) < 0x80:
+                    pos += 2
+                else:
+                    frame_serial, pos = read_varint(buf, pos)
+                    dst_id, pos = read_varint(buf, pos)
+                if op == OP_OR2 or op == OP_MOV:
+                    third = buf[pos]
+                    fourth = buf[pos + 1]
+                    if (third | fourth) < 0x80:
+                        pos += 2
+                    else:
+                        third, pos = read_varint(buf, pos)
+                        fourth, pos = read_varint(buf, pos)
+                if not keep_shadow:
+                    n_filtered += 1
+                    continue
+                if op == OP_OR2:
+                    append((
+                        R_OR2, frame_serial, table[dst_id],
+                        None if third == 0 else table[third - 1],
+                        None if fourth == 0 else table[fourth - 1],
+                    ))
+                elif op == OP_MOV:
+                    append((
+                        R_MOV, frame_serial, table[dst_id], third,
+                        None if fourth == 0 else table[fourth - 1],
+                    ))
+                else:
+                    append((R_SET0 if op == OP_SET0 else R_DEFAULT,
+                            frame_serial, table[dst_id]))
 
-        elif op == OP_OR2:
-            frame_serial, pos = read_varint(buf, pos)
-            dst_id, pos = read_varint(buf, pos)
-            lhs_id, pos = read_varint(buf, pos)
-            rhs_id, pos = read_varint(buf, pos)
-            append((
-                R_OR2,
-                frame_serial,
-                strings[dst_id],
-                None if lhs_id == 0 else strings[lhs_id - 1],
-                None if rhs_id == 0 else strings[rhs_id - 1],
-            ))
+            elif op == OP_STR:
+                length, pos = read_varint(buf, pos)
+                table.append(buf[pos:pos + length].decode("utf-8"))
+                pos += length
 
-        elif op == OP_SET0:
-            frame_serial, pos = read_varint(buf, pos)
-            reg_id, pos = read_varint(buf, pos)
-            append((R_SET0, frame_serial, strings[reg_id]))
+            elif op == OP_PUSH:
+                tid, pos = read_varint(buf, pos)
+                entry_id, pos = read_varint(buf, pos)
+                n_pushes += 1
+                append((R_PUSH, tid, None if entry_id == 0 else table[entry_id - 1]))
 
-        elif op == OP_DEFAULT:
-            frame_serial, pos = read_varint(buf, pos)
-            reg_id, pos = read_varint(buf, pos)
-            append((R_DEFAULT, frame_serial, strings[reg_id]))
+            elif op == OP_POP:
+                frame_serial, pos = read_varint(buf, pos)
+                tid, pos = read_varint(buf, pos)
+                append((R_POP, frame_serial, tid))
 
-        elif op == OP_MOV:
-            dst_serial, pos = read_varint(buf, pos)
-            dst_id, pos = read_varint(buf, pos)
-            src_serial, pos = read_varint(buf, pos)
-            src_id, pos = read_varint(buf, pos)
-            append((
-                R_MOV,
-                dst_serial,
-                strings[dst_id],
-                src_serial,
-                None if src_id == 0 else strings[src_id - 1],
-            ))
+            elif op == OP_SUMMARY:
+                totals = []
+                for _ in range(6):  # base cycles .. heap peak, event/access counts
+                    value, pos = read_varint(buf, pos)
+                    totals.append(value)
+                append((R_SUMMARY, *totals[:4]))
+                saw_summary = True
 
-        elif op == OP_PUSH:
-            tid, pos = read_varint(buf, pos)
-            entry_id, pos = read_varint(buf, pos)
-            append((R_PUSH, tid, None if entry_id == 0 else strings[entry_id - 1]))
-
-        elif op == OP_POP:
-            frame_serial, pos = read_varint(buf, pos)
-            tid, pos = read_varint(buf, pos)
-            append((R_POP, frame_serial, tid))
-
-        elif op == OP_SUMMARY:
-            base_cycles, pos = read_varint(buf, pos)
-            instructions, pos = read_varint(buf, pos)
-            mem_cycles, pos = read_varint(buf, pos)
-            heap_peak, pos = read_varint(buf, pos)
-            _n_events, pos = read_varint(buf, pos)
-            _n_accesses, pos = read_varint(buf, pos)
-            append((R_SUMMARY, base_cycles, instructions, mem_cycles, heap_peak))
-
-        else:
-            raise TraceFormatError(f"unknown opcode {op} at offset {pos - 1}")
-
-    return records
+            else:
+                raise TraceFormatError(f"unknown opcode {op} at offset {start}")
+    except (IndexError, UnicodeDecodeError):
+        raise TraceFormatError(
+            f"truncated or corrupt trace record at payload offset {start}"
+        ) from None
+    if pos > end:
+        raise TraceFormatError(f"truncated trace record at payload offset {start}")
+    return records, n_events, n_pushes, n_filtered, saw_summary
 
 
 class TraceReplayer:
@@ -265,7 +343,7 @@ class TraceReplayer:
     @property
     def records(self) -> List[tuple]:
         if self._records is None:
-            self._records = _decode(self.trace.payload)
+            self._records = decode(self.trace.payload)[0]
         return self._records
 
     def replay(
