@@ -2,7 +2,7 @@
 
 Two measurements land in ``benchmarks/artifacts/BENCH_fuzz.json``:
 
-* a deterministic seed sweep over the full 9-cell matrix — cases/sec is
+* a deterministic seed sweep over the full 7-cell matrix — cases/sec is
   the firehose's throughput figure, and the sweep itself asserts the
   headline equivalence claim (every case MATCH, or at worst TIMEOUT —
   never DIVERGENCE or CRASH);

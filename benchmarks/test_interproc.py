@@ -12,9 +12,7 @@ Asserted invariants:
 * the interprocedural mask is a superset of the intra mask, and on the
   race-detector pairs it strictly adds elided sites;
 * handler calls are monotone: off >= intra >= interproc, strictly
-  dropping on the race-detector pairs;
-* bzip2 x eraser — unfusable with hooks live — runs fused bytecode
-  segments once the full mask blankets every site.
+  dropping on the race-detector pairs.
 """
 
 import dataclasses
@@ -131,37 +129,9 @@ def test_interproc_bench_artifact():
             "wall_interproc_ms": round(inter_s * 1e3, 3),
         })
 
-    # bytecode fusion: bzip2 x eraser is fully masked (stack_local +
-    # lock_protected cover every site), so straight-line runs fuse.
-    subject = ALL["bzip2"]
-
-    def fusion_run(elide):
-        vm = Interpreter(
-            subject.make_module(1),
-            extern=subject.make_extern(),
-            input_lines=list(subject.input_lines),
-            backend="bytecode",
-        )
-        build_analysis("eraser.full").attach(vm, elide=elide)
-        vm.run()
-        return vm.bytecode_bind_stats
-
-    unfused = fusion_run(False)
-    fused = fusion_run(True)
-    assert fused["fused_segments"] > unfused["fused_segments"], (
-        "bzip2 x eraser: full mask enabled no new fused segments"
-    )
-
     payload = {
         "bench": "interproc",
         "python": platform.python_version(),
         "pairs": rows,
-        "fusion": {
-            "pair": "eraser.full on bzip2 (bytecode backend)",
-            "fused_segments_hooks_live": unfused["fused_segments"],
-            "fused_segments_interproc_mask": fused["fused_segments"],
-            "exploded_segments_hooks_live": unfused["exploded_segments"],
-            "exploded_segments_interproc_mask": fused["exploded_segments"],
-        },
     }
     save_artifact("BENCH_interproc.json", json.dumps(payload, indent=2))

@@ -13,7 +13,7 @@ stream of generated programs:
   synthetic entries in the workload registry;
 * :mod:`repro.fuzz.oracle` — a differential oracle running each
   generated workload through a configurable execution matrix
-  (reference/compiled/bytecode × elision off/intra/interproc ×
+  (reference/compiled × elision off/intra/interproc ×
   monolithic/partitioned × inline/serve) and classifying the outcome
   as ``MATCH``, ``DIVERGENCE``, ``CRASH``, ``TIMEOUT``, or — under an
   installed fault plan — ``TYPED_FAULT``;

@@ -3,7 +3,7 @@
 A *matrix cell* names one way to execute an analysis over a workload,
 written ``backend/elide/partition/path``:
 
-* backend — ``reference`` | ``compiled`` | ``bytecode``;
+* backend — ``reference`` | ``compiled``;
 * elide — ``off`` | ``intra`` | ``inter`` (staticpass elision tier);
 * partition — ``mono`` | ``p1`` | ``p2`` | ``p4`` (replay shards);
 * path — ``inline`` (fresh VM in-process) | ``serve`` (through the
@@ -54,20 +54,18 @@ from repro.fuzz import (
 )
 from repro.fuzz.gen import GenParams, sample_params, synthetic_workload
 
-BACKENDS = ("reference", "compiled", "bytecode")
+BACKENDS = ("reference", "compiled")
 ELIDE_TIERS = ("off", "intra", "inter")
 PARTITIONS = ("mono", "p1", "p2", "p4")
 PATHS = ("inline", "serve")
 
-#: The standard 9-cell matrix: one baseline, every backend, every elision
+#: The standard 7-cell matrix: one baseline, every backend, every elision
 #: tier, two shard counts, and the serve path.
 DEFAULT_MATRIX = (
     "reference/off/mono/inline",
     "compiled/off/mono/inline",
-    "bytecode/off/mono/inline",
     "compiled/intra/mono/inline",
     "compiled/inter/mono/inline",
-    "bytecode/inter/mono/inline",
     "compiled/off/p2/inline",
     "compiled/off/p4/inline",
     "compiled/off/mono/serve",

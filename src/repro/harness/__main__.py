@@ -85,23 +85,34 @@ def run_experiment(name: str, scale: int, verbose: bool, fmt: str = "text",
     return out
 
 
+def _positive_int(raw: str) -> int:
+    """argparse type for sizes and counts: an integer of at least 1."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness",
         description="Regenerate the ALDA paper's tables and figures.",
     )
     parser.add_argument("experiment", choices=EXPERIMENTS + ("all",))
-    parser.add_argument("--scale", type=int, default=1,
+    parser.add_argument("--scale", type=_positive_int, default=1,
                         help="workload size multiplier (default 1)")
     parser.add_argument("--verbose", action="store_true")
     parser.add_argument("--format", choices=("text", "json", "csv", "svg"),
                         default="text", help="output format (csv/svg: figures only)")
-    parser.add_argument("--backend", choices=("compiled", "reference", "bytecode"),
+    parser.add_argument("--backend", choices=("compiled", "reference"),
                         default="compiled",
                         help="VM dispatch strategy for inline figure runs "
-                             "(docs/SUBSTRATE.md); every backend is "
+                             "(docs/SUBSTRATE.md); both backends are "
                              "bit-identical, so this only changes wall-clock")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+    parser.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                         help="worker processes for figures; >1 records each "
                              "workload trace once and replays analyses in "
                              "parallel (see docs/TRACING.md)")
@@ -116,7 +127,7 @@ def main(argv=None) -> int:
                              "ring, given its membership file (see "
                              "docs/CLUSTER.md); results are bit-identical "
                              "to inline")
-    parser.add_argument("--partition", type=int, default=1, metavar="N",
+    parser.add_argument("--partition", type=_positive_int, default=1, metavar="N",
                         help="shard each figure trace's decode into up to N "
                              "pieces fanned across the --jobs pool "
                              "(docs/PARTITION.md); bit-identical results, "

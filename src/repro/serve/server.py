@@ -523,13 +523,11 @@ class AnalysisServer:
         from repro.fuzz import fuzz_stats
         from repro.partition import partition_stats
         from repro.staticpass import staticpass_stats
-        from repro.vm.bytecode import bytecode_cache_stats
         from repro.vm.compile import compile_cache_stats
 
         compile_cache = compile_cache_stats()
         snap["subsystems"] = {
             "vm.compile": compile_cache,
-            "vm.compile.bytecode": bytecode_cache_stats(),
             "staticpass": staticpass_stats(),
             "partition": partition_stats(),
             "fuzz": fuzz_stats(),

@@ -23,10 +23,8 @@ instrumentation-elision pass: given a compiled analysis's hook
 subscriptions and its declared elision safety, it computes the set of
 load/store sites whose hooks are statically redundant
 (``stack_local`` / ``lock_protected`` / ``dominated``).  The mask is
-consumed by all three VM backends (``repro.vm.compile``,
-``repro.vm.bytecode`` — where fully-masked straight-line runs become
-fused superinstructions — and the reference loop in
-``repro.vm.interpreter``), keeping observable analysis output
+consumed by both VM backends (``repro.vm.compile`` and the reference
+loop in ``repro.vm.interpreter``), keeping observable analysis output
 bit-identical while dropping event counts and handler work.
 
 ``python -m repro.staticpass report <analysis> <workload>`` prints the

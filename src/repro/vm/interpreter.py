@@ -121,10 +121,9 @@ class Interpreter:
         input_lines: Optional[Sequence[bytes]] = None,
         backend: str = "compiled",
     ) -> None:
-        if backend not in ("compiled", "reference", "bytecode"):
+        if backend not in ("compiled", "reference"):
             raise ValueError(
-                f"unknown backend {backend!r}; "
-                "choose 'compiled', 'reference', or 'bytecode'"
+                f"unknown backend {backend!r}; choose 'compiled' or 'reference'"
             )
         validate_module(module)
         self.module = module
@@ -169,10 +168,9 @@ class Interpreter:
         self._elide_after: frozenset = frozenset()
 
         #: "compiled" (default): decode-once closure execution, see
-        #: :mod:`repro.vm.compile`.  "bytecode": the optimizing
-        #: superinstruction backend, see :mod:`repro.vm.bytecode`.
-        #: "reference": the object-walking switch loop below.  All three
-        #: produce the same observable state, bit for bit.
+        #: :mod:`repro.vm.compile`.  "reference": the object-walking
+        #: switch loop below.  Both produce the same observable state,
+        #: bit for bit.
         self.backend = backend
         self._entry_code: Optional[Dict[str, list]] = None
 
@@ -316,22 +314,6 @@ class Interpreter:
 
                 self._entry_code = bind_module(self)
             run_quantum = self._run_quantum_compiled
-        elif self.backend == "bytecode":
-            if self._entry_code is None:
-                from repro.vm.bytecode import bind_bytecode
-
-                self._entry_code = bind_bytecode(self)
-            # Threaded modules (and hook-heavy binds) have no fused
-            # segments — every width is 1 — so the cheaper fixed-stride
-            # compiled driver is exact for them.
-            if any(
-                w != 1
-                for bc in self._entry_code.values()
-                for w in bc.widths
-            ):
-                run_quantum = self._run_quantum_bytecode
-            else:
-                run_quantum = self._run_quantum_compiled
         else:
             if self._elision_masks and not self.threads:
                 self._materialize_elision()
@@ -400,50 +382,6 @@ class Interpreter:
                 elif r.__class__ is Frame:
                     frame = r
                     code = frame.code
-                    ip = frame.ip
-                else:
-                    return n
-            frame.ip = ip
-        finally:
-            profile.instructions += n
-            profile.base_cycles += n
-        return n
-
-    def _run_quantum_bytecode(self, thread: ThreadState) -> int:
-        """Quantum driver for the flat superinstruction backend
-        (:mod:`repro.vm.bytecode`).
-
-        Same threaded-code protocol as :meth:`_run_quantum_compiled`,
-        but a slot may cover several reference instructions
-        (``code.widths``), so the driver spends *budget* instead of
-        counting iterations and may overshoot the quantum by up to one
-        segment.  Fused segments only exist in single-threaded modules
-        — where quantum boundaries are unobservable — so round-robin
-        interleaving in threaded modules (all widths 1) stays exact.
-        A raising segment compensates its own unexecuted remainder
-        before the finally-billing here lands (see
-        :mod:`repro.vm.bytecode.codegen`).
-        """
-        profile = self.profile
-        frame = thread.frames[-1]
-        code = frame.code
-        widths = code.widths
-        ip = frame.ip
-        n = 0
-        self._current_thread = thread
-        try:
-            budget = self.quantum
-            while budget > 0:
-                w = widths[ip]
-                n += w
-                budget -= w
-                r = code[ip](thread, frame)
-                if r is None:
-                    ip += 1
-                elif r.__class__ is Frame:
-                    frame = r
-                    code = frame.code
-                    widths = code.widths
                     ip = frame.ip
                 else:
                     return n
@@ -952,11 +890,6 @@ class Interpreter:
     def _bt_entry(frame: Frame) -> str:
         """One frame's backtrace entry, exactly as :meth:`backtrace` renders it."""
         code = frame.code
-        bts = getattr(code, "bts", None)
-        if bts is not None:
-            # Flat bytecode: the side table maps the flat ip back to the
-            # reference's block-relative rendering (repro.vm.bytecode.ops).
-            return bts[frame.ip]
         index = max(0, frame.ip - 1)
         instr = code[index] if index < len(code) else None
         loc = getattr(instr, "loc", "") if instr is not None else ""

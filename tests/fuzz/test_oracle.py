@@ -27,12 +27,13 @@ class TestCellGrammar:
     @pytest.mark.parametrize("bad", [
         "compiled/off/mono",                 # wrong arity
         "llvm/off/mono/inline",              # unknown backend
+        "bytecode/off/mono/inline",          # unknown backend
         "compiled/maybe/mono/inline",        # unknown tier
         "compiled/off/p3/inline",            # unknown shard count
         "compiled/off/mono/carrier-pigeon",  # unknown path
         "reference/off/mono/serve",          # serve needs compiled
         "compiled/inter/mono/serve",         # serve needs elide off
-        "bytecode/off/p2/inline",            # partition needs compiled
+        "reference/off/p2/inline",           # partition needs compiled
         "compiled/intra/p2/inline",          # partition needs elide off
     ])
     def test_bad_cells_raise_usage_error(self, bad):
@@ -57,12 +58,12 @@ def _obs(**kwargs):
 class TestCompare:
     def test_identical_observations_match(self):
         cells = [("compiled/off/mono/inline", _obs()),
-                 ("bytecode/off/mono/inline", _obs())]
+                 ("reference/off/mono/inline", _obs())]
         assert compare_observations(cells) == ""
 
     def test_trace_digest_divergence(self):
         cells = [("compiled/off/mono/inline", _obs(trace_digest="a")),
-                 ("bytecode/off/mono/inline", _obs(trace_digest="b"))]
+                 ("reference/off/mono/inline", _obs(trace_digest="b"))]
         assert "trace bytes diverge" in compare_observations(cells)
 
     def test_report_count_divergence(self):
@@ -72,7 +73,7 @@ class TestCompare:
 
     def test_report_text_divergence(self):
         cells = [("compiled/off/mono/inline", _obs(reports=("race at 1",))),
-                 ("bytecode/off/mono/inline", _obs(reports=("race at 2",)))]
+                 ("reference/off/mono/inline", _obs(reports=("race at 2",)))]
         assert "reports diverge" in compare_observations(cells)
 
     def test_cycles_compared_only_within_off_group(self):

@@ -57,7 +57,7 @@ class TestShrink:
             params=params, outcome="CRASH", detail="boom",
             cells=[
                 CellResult(cell="compiled/off/mono/inline", status="ok"),
-                CellResult(cell="bytecode/off/mono/inline", status="error",
+                CellResult(cell="compiled/intra/mono/inline", status="error",
                            error_type="ValueError", error="boom"),
             ],
         )
@@ -67,7 +67,7 @@ class TestShrink:
                 or "main" in module.functions
             ),
         )
-        assert result.cell == "bytecode/off/mono/inline"
+        assert result.cell == "compiled/intra/mono/inline"
 
     def test_workload_from_text_rejects_garbage(self):
         params = sample_params(3, events=400)

@@ -65,8 +65,23 @@ def test_partition_flag_forwarded(stub_figure):
 
 
 def test_backend_flag_forwarded(stub_figure):
-    assert cli.main(["fig4", "--backend", "bytecode"]) == 0
-    assert stub_figure["backend"] == "bytecode"
+    assert cli.main(["fig4", "--backend", "reference"]) == 0
+    assert stub_figure["backend"] == "reference"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scale", "0"],
+    ["--scale", "-1"],
+    ["--jobs", "0"],
+    ["--partition", "0"],
+    ["--backend", "bytecode"],
+])
+def test_bad_arguments_are_usage_errors(stub_figure, capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["fig4", *argv])
+    assert excinfo.value.code == 2
+    assert not stub_figure, "the figure must not run"
+    assert f"argument {argv[0]}" in capsys.readouterr().err
 
 
 def test_defaults_stay_inline(stub_figure):

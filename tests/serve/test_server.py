@@ -162,8 +162,6 @@ def test_stats_frame_shape(make_server, fft_trace):
     subsystems = snap["subsystems"]
     assert snap["compile_cache"] == subsystems["vm.compile"]
     assert set(subsystems["vm.compile"]) == {"hits", "misses", "entries"}
-    # The bytecode backend's stage-1 pipeline cache is its own tier.
-    assert set(subsystems["vm.compile.bytecode"]) == {"hits", "misses", "entries"}
     staticpass = subsystems["staticpass"]
     for key in ("mask_cache_hits", "mask_cache_misses", "masks_cached",
                 "sites_considered", "sites_elided"):

@@ -67,12 +67,6 @@ def test_elision_preserves_observable_output(name):
         assert ref_profile == on_profile, f"{name}/{spec}: backend profile drift"
         assert ref_reports == on_reports, f"{name}/{spec}: backend report drift"
         assert ref_seq == on_seq, f"{name}/{spec}: backend event-seq drift"
-        byt_profile, byt_reports, byt_seq = _observe(
-            workload, spec, "bytecode", elide=True
-        )
-        assert byt_profile == on_profile, f"{name}/{spec}: bytecode profile drift"
-        assert byt_reports == on_reports, f"{name}/{spec}: bytecode report drift"
-        assert byt_seq == on_seq, f"{name}/{spec}: bytecode event-seq drift"
 
 
 def test_elision_actually_fires_somewhere():
@@ -106,30 +100,6 @@ def test_interproc_mask_supersets_intra():
                 assert positions <= inter.get(site, frozenset()), (
                     f"{name}/{spec}: intra masked {site} but interproc lost it"
                 )
-
-
-def test_interproc_unlocks_bytecode_fusion():
-    """bzip2 x eraser was unfusable with hooks live; with the full mask
-    (stack_local + lock_protected covers every site) whole straight-line
-    runs fuse into generated segments, bit-identically."""
-    workload = ALL["bzip2"]
-
-    def bind_stats(elide):
-        vm = Interpreter(
-            workload.make_module(1),
-            extern=workload.make_extern(),
-            input_lines=list(workload.input_lines),
-            backend="bytecode",
-        )
-        build_analysis("eraser.full").attach(vm, elide=elide)
-        profile = vm.run()
-        return vm.bytecode_bind_stats, list(vm.reporter), profile
-
-    off_stats, off_reports, _ = bind_stats(False)
-    on_stats, on_reports, _ = bind_stats(True)
-    assert on_reports == off_reports
-    assert on_stats["fused_segments"] > off_stats["fused_segments"]
-    assert on_stats["exploded_segments"] < off_stats["exploded_segments"]
 
 
 def test_figure_tables_unchanged_by_elision():

@@ -83,7 +83,6 @@ def test_docs_exist():
         "LANGUAGE.md",
         "COSTMODEL.md",
         "SUBSTRATE.md",
-        "BYTECODE.md",
         "STATICPASS.md",
         "TUTORIAL.md",
         "TRACING.md",
@@ -114,8 +113,7 @@ def _python_blocks(path: pathlib.Path):
 
 
 @pytest.mark.parametrize("name", ["ARCHITECTURE.md", "SUBSTRATE.md",
-                                  "BYTECODE.md", "STATICPASS.md",
-                                  "FUZZ.md"])
+                                  "STATICPASS.md", "FUZZ.md"])
 def test_doc_python_blocks_execute(name):
     """Every fenced Python block in the architecture docs actually runs."""
     blocks = _python_blocks(DOCS / name)
