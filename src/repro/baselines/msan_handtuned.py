@@ -77,28 +77,17 @@ class HandTunedMSan:
     # Contiguous byte-shadow runs are billed as one wide access: the
     # hand-tuned implementation copies shadow with word/SIMD moves, not
     # per-byte loads (same treatment as the generated code's range ops).
+    # An empty range still bills the shadow's 1-cycle address arithmetic.
+    def _bill_runs(self, runs) -> None:
+        for lo, hi in runs:
+            self._meter.touch(lo, hi - lo + 1)
+
     def _set_range(self, address: int, n_bytes: int, label: int) -> None:
-        first = None
-        last = 0
-        for slot_addr, storage in self._shadow.slots_in_range(address, n_bytes):
-            if first is None:
-                first = slot_addr
-            last = slot_addr
-            storage[0] = label
-        if first is not None:
-            self._meter.touch(first, last - first + 1)
+        self._bill_runs(self._shadow.fold_or_store(address, n_bytes, 0, True, label)[1])
 
     def _get_range(self, address: int, n_bytes: int) -> int:
-        label = 0
-        first = None
-        last = 0
-        for slot_addr, storage in self._shadow.slots_in_range(address, n_bytes):
-            if first is None:
-                first = slot_addr
-            last = slot_addr
-            label |= storage[0]
-        if first is not None:
-            self._meter.touch(first, last - first + 1)
+        label, runs = self._shadow.fold_or_store(address, n_bytes, 0)
+        self._bill_runs(runs)
         return label
 
     # -- handlers ---------------------------------------------------------

@@ -13,7 +13,9 @@ overflow wraps and is counted rather than crashing the run.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
+
+from repro.runtime.metadata import fold_or_store_slots
 
 
 class KeyInterner:
@@ -85,10 +87,12 @@ class ArrayMap:
         self.meter.cycles(1)
         return self._slot(key)
 
-    def slots_in_range(self, key: int, n_bytes: int) -> Iterator[Tuple[int, list]]:
+    def fold_or_store(self, key: int, n_bytes: int, index: int, store: bool = False, value=None):
         # Bounded-domain maps are keyed by ids, not addresses: a "range"
         # over n bytes means the single containing entry.
-        yield self.lookup(key)
+        return fold_or_store_slots(
+            self.lookup, (key,), index, store, value, self.value_bytes
+        )
 
     def __len__(self) -> int:
         return len(self._data)

@@ -10,7 +10,9 @@ where the paper reports non-trivial benchmarks running out of memory).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, Tuple
+from typing import Callable, Dict, Tuple
+
+from repro.runtime.metadata import fold_or_store_slots
 
 _BUCKETS = 1 << 16
 _ENTRY_OVERHEAD = 24  # key + next pointer + allocator header
@@ -57,11 +59,14 @@ class HashMap:
     def lookup(self, key: int) -> Tuple[int, list]:
         return self._slot(key >> self._shift)
 
-    def slots_in_range(self, key: int, n_bytes: int) -> Iterator[Tuple[int, list]]:
+    def fold_or_store(self, key: int, n_bytes: int, index: int, store: bool = False, value=None):
+        """Range form of :meth:`lookup`: every covered slot is a full
+        hashed probe, in order; returns the data runs."""
         first = key >> self._shift
         last = (key + n_bytes - 1) >> self._shift
-        for index in range(first, last + 1):
-            yield self._slot(index)
+        return fold_or_store_slots(
+            self._slot, range(first, last + 1), index, store, value, self.value_bytes
+        )
 
     def __len__(self) -> int:
         return len(self._entries)

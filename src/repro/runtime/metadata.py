@@ -15,11 +15,50 @@ handler code generation is uniform across optimization levels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.vm.memory import AddressSpace
 
 Slot = Tuple[int, list]  # (simulated value-record address, field storage)
+#: contiguous slot runs as (first slot address, last slot address) pairs
+Runs = Sequence[Tuple[int, int]]
+
+
+def fold_or_store_slots(
+    slot: Callable[[int], Slot],
+    indices: Iterable[int],
+    index: int,
+    store: bool,
+    value,
+    stride: int,
+) -> Tuple[object, Runs]:
+    """The range operation of structures whose slots need per-slot work.
+
+    Resolves ``slot(i)`` for each ``i`` in ``indices`` in order, so the
+    structure bills each slot exactly as a point lookup would, and ORs
+    field ``index`` into the result or stores ``value`` there (one copy
+    per slot when it has ``copy``).  Returns ``(folded, runs)``: the
+    maximal runs of slots ``stride`` bytes apart.
+    """
+    copyable = store and hasattr(value, "copy")
+    folded = 0
+    runs = []
+    lo = hi = None
+    for i in indices:
+        address, storage = slot(i)
+        if store:
+            storage[index] = value.copy() if copyable else value
+        else:
+            folded |= storage[index]
+        if hi is not None and address == hi + stride:
+            hi = address
+            continue
+        if hi is not None:
+            runs.append((lo, hi))
+        lo = hi = address
+    if hi is not None:
+        runs.append((lo, hi))
+    return folded, runs
 
 
 class MetadataSpace:
@@ -83,7 +122,8 @@ class CoalescedMap:
     :class:`repro.runtime.page_table.PageTableMap`,
     :class:`repro.runtime.array_map.ArrayMap` or
     :class:`repro.runtime.hash_map.HashMap` — all provide ``lookup(key)``
-    and ``slots_in_range(key, n_bytes)``.
+    and ``fold_or_store(key, n_bytes, index, store, value)``, which
+    returns the folded value and the contiguous slot runs to bill.
     """
 
     #: counter for memo identities
@@ -186,23 +226,16 @@ class CoalescedMap:
     # ------------------------------------------------------------------
     # range operations (ALDA's map.set(k, v, n) / map.get(k, n))
     # ------------------------------------------------------------------
-    def _touch_spans(self, addresses: list, size: int) -> None:
-        """Bill contiguous slot runs as single wide accesses.
+    def _bill_runs(self, runs: Runs, field: FieldSpec) -> None:
+        """Bill each contiguous slot run as a single wide access.
 
         A compiled range operation over adjacent shadow slots is a
         vectorized sweep, not N dependent loads; billing the span keeps
         the cost model faithful to what optimized code would execute.
         """
-        if not addresses:
-            return
-        stride = self.impl.value_bytes
-        run_start = prev = addresses[0]
-        for address in addresses[1:]:
-            if address != prev + stride:
-                self.meter.touch(run_start, prev - run_start + size)
-                run_start = address
-            prev = address
-        self.meter.touch(run_start, prev - run_start + size)
+        touch = self.meter.touch
+        for lo, hi in runs:
+            touch(lo + field.offset, hi - lo + field.size)
 
     def load_range(self, key: int, n_bytes: int, field_index: int) -> int:
         """Fold integer field values over [key, key+n_bytes) with OR.
@@ -216,12 +249,8 @@ class CoalescedMap:
             self.sync.enter(key)
         field = self.fields[field_index]
         self._count_access(field)
-        folded = 0
-        addresses = []
-        for address, storage in self.impl.slots_in_range(key, n_bytes):
-            addresses.append(address + field.offset)
-            folded |= storage[field_index]
-        self._touch_spans(addresses, field.size)
+        folded, runs = self.impl.fold_or_store(key, n_bytes, field_index)
+        self._bill_runs(runs, field)
         return folded
 
     def store_range(self, key: int, n_bytes: int, field_index: int, value) -> None:
@@ -231,9 +260,5 @@ class CoalescedMap:
             self.sync.enter(key)
         field = self.fields[field_index]
         self._count_access(field)
-        copyable = hasattr(value, "copy")
-        addresses = []
-        for address, storage in self.impl.slots_in_range(key, n_bytes):
-            addresses.append(address + field.offset)
-            storage[field_index] = value.copy() if copyable else value
-        self._touch_spans(addresses, field.size)
+        _, runs = self.impl.fold_or_store(key, n_bytes, field_index, True, value)
+        self._bill_runs(runs, field)

@@ -8,7 +8,9 @@ walk) on every lookup.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, Tuple
+from typing import Callable, Dict, Tuple
+
+from repro.runtime.metadata import fold_or_store_slots
 
 #: bytes of metadata committed per data page (an OS page), independent of
 #: the value size — fat records get fewer entries per page, like a real
@@ -72,12 +74,15 @@ class PageTableMap:
         self.meter.cycles(2)  # index split + bounds math
         return self._slot(key >> self._shift)
 
-    def slots_in_range(self, key: int, n_bytes: int) -> Iterator[Tuple[int, list]]:
+    def fold_or_store(self, key: int, n_bytes: int, index: int, store: bool = False, value=None):
+        """Range form of :meth:`lookup`: 2 cycles per range, then each
+        covered slot's directory walk in order; returns the data runs."""
         self.meter.cycles(2)
         first = key >> self._shift
         last = (key + n_bytes - 1) >> self._shift
-        for index in range(first, last + 1):
-            yield self._slot(index)
+        return fold_or_store_slots(
+            self._slot, range(first, last + 1), index, store, value, self.value_bytes
+        )
 
     @property
     def committed_pages(self) -> int:

@@ -7,12 +7,14 @@ selects it when the *shadow factor* (metadata bytes per program byte after
 granularity) is at most the threshold (default 3).
 
 Committed footprint is billed per touched 4 KiB shadow page, mirroring
-demand paging of a large virtual reservation.
+demand paging of a large virtual reservation.  Slots are contiguous, so
+a range operation is arithmetic: its first and last slot, the pages
+between them, and one span for the caller to bill as a wide access.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.vm.memory import AddressSpace
 
@@ -62,12 +64,50 @@ class ShadowMemory:
         self.meter.cycles(1)  # shift+add address arithmetic
         return self._slot(key >> self._shift)
 
-    def slots_in_range(self, key: int, n_bytes: int) -> Iterator[Tuple[int, list]]:
+    def fold_or_store(self, key: int, n_bytes: int, index: int, store: bool = False, value=None):
+        """OR field ``index`` over the slots covering ``[key, key+n_bytes)``,
+        or store ``value`` there (one copy per slot when it has ``copy``).
+
+        Bills 1 cycle and the footprint of each newly touched page;
+        returns ``(folded, runs)`` with the slots' single
+        ``(first, last)`` address span, or no span for an empty range.
+        """
         self.meter.cycles(1)
         first = key >> self._shift
         last = (key + n_bytes - 1) >> self._shift
-        for index in range(first, last + 1):
-            yield self._slot(index)
+        if last < first:
+            return 0, ()
+        value_bytes = self.value_bytes
+        lo = self.base + first * value_bytes
+        hi = self.base + last * value_bytes
+        # Slots no wider than a page leave no page between lo and hi
+        # without a slot start; wider ones are paged slot by slot.
+        if value_bytes <= _PAGE:
+            pages = range(lo >> 12, (hi >> 12) + 1)
+        else:
+            pages = [address >> 12 for address in range(lo, hi + 1, value_bytes)]
+        touched = self._touched_pages
+        for page in pages:
+            if page not in touched:
+                touched.add(page)
+                self.meter.footprint(_PAGE)
+        data = self._data
+        make_values = self._make_values
+        folded = 0
+        if store:
+            copyable = hasattr(value, "copy")
+            for slot in range(first, last + 1):
+                storage = data.get(slot)
+                if storage is None:
+                    storage = data[slot] = make_values()
+                storage[index] = value.copy() if copyable else value
+        else:
+            for slot in range(first, last + 1):
+                storage = data.get(slot)
+                if storage is None:
+                    storage = data[slot] = make_values()
+                folded |= storage[index]
+        return folded, ((lo, hi),)
 
     def __len__(self) -> int:
         return len(self._data)

@@ -83,6 +83,43 @@ class TestHandTunedMSan:
         assert len(reporter) == 0
 
 
+def test_empty_range_billing_asymmetry():
+    """Hand-tuned MSan bills its shadow's 1-cycle address arithmetic even
+    for an empty range; the generated code's CoalescedMap bills nothing.
+    Figure 3's LLVM and ALDAcc columns depend on exactly this."""
+    from repro.runtime import CoalescedMap, FieldSpec, MetadataSpace, ShadowMemory
+    from repro.vm.cache import CacheSim
+    from repro.vm.profile import CostMeter, Profile
+
+    b = IRBuilder()
+    b.function("main")
+    b.ret(0)
+    vm = Interpreter(b.module, track_shadow=True)
+    msan = HandTunedMSan().attach(vm)
+    profile, stats = vm.profile, vm.cache.stats
+    for call in (lambda: msan._set_range(0x1000_0000, 0, -1),
+                 lambda: msan._get_range(0x1000_0000, 0)):
+        before = (profile.instr_cycles, profile.metadata_ops, profile.metadata_bytes,
+                  stats.accesses)
+        call()
+        after = (profile.instr_cycles, profile.metadata_ops, profile.metadata_bytes,
+                 stats.accesses)
+        assert after == (before[0] + 1,) + before[1:]
+
+    profile = Profile()
+    meter = CostMeter(profile, CacheSim())
+    shadow = ShadowMemory(meter, MetadataSpace.fresh(), 1, 1, lambda: [0])
+    cmap = CoalescedMap("m", shadow, [FieldSpec("label", 0, 1, "int", int)], meter)
+    def billed():
+        return (profile.instr_cycles, profile.metadata_ops, profile.metadata_bytes,
+                meter.cache.stats.accesses)
+
+    before = billed()
+    cmap.store_range(0x1000_0000, 0, 0, -1)
+    assert cmap.load_range(0x1000_0000, 0, 0) == 0
+    assert billed() == before
+
+
 def _counter(locked: bool):
     b = IRBuilder()
     b.module.add_global("shared", 8)

@@ -1,5 +1,7 @@
 """Unit tests for the four map backing structures."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,8 +53,10 @@ class TestShadowMemory:
 
     def test_slots_in_range(self, meter, space):
         shadow = ShadowMemory(meter, space, 1, 8, make_values)
-        slots = list(shadow.slots_in_range(0x1000_0000, 17))  # 3 words
-        assert len(slots) == 3
+        _, runs = shadow.fold_or_store(0x1000_0000, 17, 0)  # 3 words
+        assert len(shadow) == 3
+        ((lo, hi),) = runs
+        assert hi - lo == 2  # one contiguous span of 3 one-byte slots
 
     def test_slot_addresses_offset_linear(self, meter, space):
         shadow = ShadowMemory(meter, space, 4, 8, make_values)
@@ -144,7 +148,10 @@ class TestArrayMap:
 
     def test_range_yields_single_entry(self, meter, space):
         array = ArrayMap(meter, space, 8, 8, make_values)
-        assert len(list(array.slots_in_range(2, 64))) == 1
+        _, runs = array.fold_or_store(2, 64, 0)
+        assert len(array) == 1
+        address, _ = array.lookup(2)
+        assert runs == [(address, address)]
 
 
 class TestKeyInterner:
@@ -185,7 +192,9 @@ class TestHashMap:
 
     def test_range(self, meter, space):
         table = HashMap(meter, space, 8, 8, make_values)
-        assert len(list(table.slots_in_range(0x1000_0000, 24))) == 3
+        _, runs = table.fold_or_store(0x1000_0000, 24, 0)
+        assert len(table) == 3
+        assert len(runs) == 3  # hash entries are never adjacent
 
 
 @given(keys=st.lists(st.integers(0x1000_0000, 0x1000_4000), min_size=1, max_size=40),
@@ -204,3 +213,197 @@ def test_impls_behave_like_dict(keys, impl_name):
         model[key >> 3] = position
     for key in keys:
         assert impl.lookup(key)[1][0] == model[key >> 3]
+
+
+# ----------------------------------------------------------------------
+# The range billing rule (docs/COSTMODEL.md, "Range operations"),
+# written out slot by slot and compared against each structure's
+# single-call fold_or_store.
+# ----------------------------------------------------------------------
+
+PROGRAM_BASE = 0x1000_0000
+
+
+class RangeModel:
+    """Bills a range operation slot by slot, as the cost model states it.
+
+    Owns its own meter, cache and a copy of the structure's address
+    space; the cache sees the model's touches in the rule's order, so
+    cache statistics that match after every operation also check the
+    order of the structure's touches, not only their number.
+    """
+
+    def __init__(self, impl, space, kind, offset, size):
+        self.impl = impl
+        self.kind = kind
+        self.offset = offset
+        self.size = size
+        self.profile = Profile()
+        self.cache = CacheSim()
+        self.meter = CostMeter(self.profile, self.cache)
+        self.space = copy.deepcopy(space)  # reserves what impl reserves next
+        self.values = {}  # slot key -> record
+        self.pages = set()  # shadow pages / page-table pages already committed
+        self.addresses = {}  # hash/page-table slot -> data address
+
+    # -- per-slot rules -------------------------------------------------
+    def _shadow_slot(self, index):
+        address = self.impl.base + index * self.impl.value_bytes
+        if address >> 12 not in self.pages:
+            self.pages.add(address >> 12)
+            self.meter.footprint(4096)
+        return address
+
+    def _pagetable_slot(self, index):
+        impl = self.impl
+        top, low = divmod(index, impl.page_entries)
+        self.meter.touch(impl.dir_base + (top % 512) * 8, 8)
+        self.meter.touch(impl.dir_base + 4096 + (top % (1024 * 1024)) * 8, 8)
+        if top not in self.addresses:
+            page_bytes = impl.page_entries * impl.value_bytes
+            self.addresses[top] = self.space.reserve(page_bytes)
+            self.meter.footprint(page_bytes)
+        return self.addresses[top] + low * impl.value_bytes
+
+    def _hash_slot(self, index):
+        self.meter.cycles(3)
+        bucket = (index * 0x9E3779B97F4A7C15) & 0xFFFF
+        self.meter.touch(self.impl.bucket_base + bucket * 8, 8)
+        if index not in self.addresses:
+            entry_bytes = self.impl.value_bytes + 24
+            self.addresses[index] = self.space.reserve(entry_bytes, align=16) + 24
+            self.meter.footprint(entry_bytes)
+        self.meter.touch(self.addresses[index] - 24, 8)
+        return self.addresses[index]
+
+    def _array_slot(self, index):
+        return self.impl.base + index * self.impl.value_bytes
+
+    # -- one range operation ------------------------------------------
+    def apply(self, key, n_bytes, index, store, value):
+        impl = self.impl
+        if self.kind == "array":
+            slots = [key % impl.domain]  # the single containing entry
+        else:
+            shift = impl.granularity.bit_length() - 1
+            slots = range(key >> shift, ((key + n_bytes - 1) >> shift) + 1)
+        slot_address = getattr(self, f"_{self.kind}_slot")
+        self.meter.cycles({"shadow": 1, "pagetable": 2, "hash": 0, "array": 1}[self.kind])
+        folded = 0
+        addresses = []
+        for slot in slots:
+            addresses.append(slot_address(slot))
+            record = self.values.setdefault(slot, make_record())
+            if store:
+                record[index] = value
+            else:
+                folded |= record[index]
+        # one wide touch per run of adjacent slots
+        run_start = None
+        for position, address in enumerate(addresses):
+            if run_start is None:
+                run_start = address
+            if position + 1 == len(addresses) or addresses[position + 1] != (
+                address + impl.value_bytes
+            ):
+                self.meter.touch(run_start + self.offset, address - run_start + self.size)
+                run_start = None
+        return folded
+
+
+def make_record():
+    return [0, 0]
+
+
+RANGE_CONFIGS = {
+    # name: (structure, granularity, value_bytes)
+    "shadow-g1-v1": (ShadowMemory, 1, 1),
+    "shadow-g8-v1": (ShadowMemory, 8, 1),
+    "shadow-g1-v48": (ShadowMemory, 1, 48),
+    "shadow-g8-v48": (ShadowMemory, 8, 48),
+    "shadow-g8-v8192": (ShadowMemory, 8, 8192),  # slots wider than a page
+    "pagetable-g1-v1": (PageTableMap, 1, 1),
+    "pagetable-g8-v8": (PageTableMap, 8, 8),
+    "pagetable-g8-v48": (PageTableMap, 8, 48),
+    "hash-g1-v8": (HashMap, 1, 8),
+    "hash-g8-v8": (HashMap, 8, 8),
+    "array-v8": (ArrayMap, None, 8),
+}
+_KIND = {ShadowMemory: "shadow", PageTableMap: "pagetable", HashMap: "hash", ArrayMap: "array"}
+
+# Keys cluster around 4 KiB boundaries, which are both shadow-page and
+# page-table-page boundaries of the program address space at these sizes.
+range_keys = st.builds(
+    lambda page, delta: PROGRAM_BASE + page * 4096 + delta,
+    st.integers(0, 4),
+    st.one_of(st.integers(-24, 24), st.integers(0, 4095)),
+)
+range_lengths = st.one_of(st.just(0), st.integers(1, 24), st.integers(25, 5000))
+range_ops = st.lists(
+    st.tuples(st.booleans(), range_keys, range_lengths, st.integers(0, 7)),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _profile_view(profile, cache, base_bytes=0):
+    return (profile.instr_cycles, profile.metadata_ops,
+            profile.metadata_bytes - base_bytes, copy.copy(cache.stats))
+
+
+@pytest.mark.parametrize("config", sorted(RANGE_CONFIGS))
+@given(ops=range_ops, field=st.integers(0, 1))
+@settings(max_examples=30, deadline=None)
+def test_range_rule_matches_slot_by_slot_model(config, ops, field):
+    cls, granularity, value_bytes = RANGE_CONFIGS[config]
+    kind = _KIND[cls]
+    profile = Profile()
+    cache = CacheSim()
+    meter = CostMeter(profile, cache)
+    space = MetadataSpace.fresh()
+    if cls is ArrayMap:
+        impl = ArrayMap(meter, space, value_bytes, 16, make_record)
+    else:
+        impl = cls(meter, space, value_bytes, granularity, make_record)
+    base_bytes = profile.metadata_bytes
+    # field 1 sits mid-record when the record has room for two fields
+    offset, size = (8, 8) if field and value_bytes >= 16 else (0, min(value_bytes, 8))
+    model = RangeModel(impl, space, kind, offset, size)
+    for store, key, n_bytes, value in ops:
+        if kind == "array":
+            key = (key - PROGRAM_BASE) % 32  # ids, some beyond the domain
+        folded, runs = impl.fold_or_store(key, n_bytes, field, store, value)
+        for lo, hi in runs:
+            meter.touch(lo + offset, hi - lo + size)
+        expected = model.apply(key, n_bytes, field, store, value)
+        assert folded == expected
+        assert _profile_view(profile, cache, base_bytes) == _profile_view(
+            model.profile, model.cache
+        )
+        assert len(impl) == len(model.values)
+
+
+@pytest.mark.parametrize("config", sorted(RANGE_CONFIGS))
+def test_range_store_copies_once_per_slot(config):
+    cls, granularity, value_bytes = RANGE_CONFIGS[config]
+    meter = CostMeter(Profile(), CacheSim())
+    if cls is ArrayMap:
+        impl = ArrayMap(meter, MetadataSpace.fresh(), value_bytes, 16, make_record)
+    else:
+        impl = cls(meter, MetadataSpace.fresh(), value_bytes, granularity, make_record)
+
+    class Template:
+        copies = 0
+
+        def copy(self):
+            Template.copies += 1
+            return Template()
+
+    template = Template()
+    keys = [3] if cls is ArrayMap else range(PROGRAM_BASE, PROGRAM_BASE + 24)
+    impl.fold_or_store(keys[0], 24, 1, True, template)
+    records = {id(record): record for record in (impl.lookup(k)[1] for k in keys)}
+    stored = [record[1] for record in records.values()]
+    assert Template.copies == len(impl) == len(stored)
+    assert template not in stored
+    assert len({id(value) for value in stored}) == len(stored)
