@@ -146,40 +146,3 @@ def test_ablation_structure_selection(benchmark):
     assert bad.overhead > good.overhead
     assert bad.profile.metadata_bytes > good.profile.metadata_bytes
 
-
-# ----------------------------------------------------------------------
-# profile-guided grouping (the paper's section 3.2.1 future work)
-# ----------------------------------------------------------------------
-def test_ablation_profile_guided(benchmark):
-    """Static grouping fattens the hot record with error-path metadata;
-    a training run splits it back out."""
-    from repro.compiler import compile_analysis as _compile
-    from repro.compiler import profile_analysis
-
-    source = """
-    hot = map(pointer, int8)
-    err1 = map(pointer, int64)
-    err2 = map(pointer, int64)
-    err3 = map(pointer, int64)
-    onLoad(pointer p, int64 v) {
-      hot[p] = 1;
-      if (v > 1000000000) { err1[p] = v; err2[p] = v; err3[p] = v; }
-    }
-    insert after LoadInst call onLoad($1, $r)
-    """
-    workload = ALL["bzip2"]
-    baseline = run_plain(workload)
-    static = _compile(source, CompileOptions(analysis_name="static"))
-    profile = profile_analysis(source, lambda: workload.make_module(1))
-    guided = _compile(source, CompileOptions(analysis_name="pgo"),
-                      access_profile=profile)
-    static_result = measure_overhead(workload, static, baseline=baseline)
-    guided_result = benchmark(
-        lambda: measure_overhead(workload, guided, baseline=baseline)
-    )
-    save_artifact(
-        "ablation_pgo.txt",
-        f"static grouping: {static_result.overhead:.3f}x\n"
-        f"profile-guided:  {guided_result.overhead:.3f}x",
-    )
-    assert guided_result.overhead <= static_result.overhead

@@ -101,7 +101,7 @@ class HandTunedEraser:
         # needed — a straight (inverted, bits) pair like the runtime's).
         self._records = PageTableMap(
             meter, space, value_bytes=_RECORD_BYTES, granularity=8,
-            make_values=lambda: [True, 0, 0, VIRGIN],  # [inverted, lockbits, threadmask, status]
+            defaults=[True, 0, 0, VIRGIN],  # [inverted, lockbits, threadmask, status]
             name="eraser-records",
         )
         self._locks = KeyInterner(meter, space, _LOCK_DOMAIN, name="eraser-locks")
@@ -145,20 +145,21 @@ class HandTunedEraser:
         meter = self._meter
         meter.cycles(6)  # transition-table index + mask arithmetic
         self._sync.enter(address)
-        slot_addr, record = self._records.lookup(address)
+        slot_addr, columns, row = self._records.lookup(address)
+        threads, statuses = columns[2], columns[3]
         tid = tid % self.max_threads
 
         # One cache access covers the hot header (thread mask + status).
         meter.touch(slot_addr + _OFF_THREADS, 2)
-        first = not (record[2] >> tid) & 1
-        status = record[3]
+        first = not (threads[row] >> tid) & 1
+        status = statuses[row]
         # Thread-set update per Eraser: stores always record the accessor;
         # loads record it only once the location has left VIRGIN.
         if first and (is_write or status != VIRGIN):
-            record[2] |= 1 << tid
+            threads[row] |= 1 << tid
         new_status = _TRANSITION[(status, is_write, first)]
         if new_status != status:
-            record[3] = new_status
+            statuses[row] = new_status
             meter.touch(slot_addr + _OFF_STATUS, 1)
 
         if new_status > EXCLUSIVE:
@@ -167,14 +168,15 @@ class HandTunedEraser:
             meter.touch(slot_addr + _OFF_LOCKSET, _LOCK_WORDS * 8)
             meter.touch(self._thread_mask_addr(tid), _LOCK_WORDS * 8)
             held = self._thread_masks[tid]
-            if record[0]:  # universe: first refinement snaps to held set
-                record[0] = False
-                record[1] = held
+            inverted, lockbits = columns[0], columns[1]
+            if inverted[row]:  # universe: first refinement snaps to held set
+                inverted[row] = False
+                lockbits[row] = held
             else:
-                record[1] &= held
+                lockbits[row] &= held
             # Emptiness test scans the 256-bit mask: four word compares.
             meter.cycles(_LOCK_WORDS)
-            if new_status == SHARED_MODIFIED and record[1] == 0:
+            if new_status == SHARED_MODIFIED and lockbits[row] == 0:
                 self._vm.reporter.report(
                     self.name, "access", "data race (empty lockset)", loc,
                     actual=1, expected=0,

@@ -53,11 +53,11 @@ class HandTunedMSan:
         space = MetadataSpace.fresh()
         self._shadow = ShadowMemory(
             meter, space, value_bytes=1, granularity=1,
-            make_values=lambda: [0], name="msan-shadow",
+            defaults=[0], name="msan-shadow",
         )
         self._sizes = PageTableMap(
             meter, space, value_bytes=8, granularity=1,
-            make_values=lambda: [0], name="msan-sizes",
+            defaults=[0], name="msan-sizes",
         )
         hooks.add_function("after", "malloc", self._on_malloc)
         hooks.add_function("after", "calloc", self._on_calloc)
@@ -95,27 +95,28 @@ class HandTunedMSan:
         self._meter.cycles(3)
         ptr, size = ctx.result, ctx.ops[0]
         self._set_range(ptr, size, _POISON)
-        slot_addr, storage = self._sizes.lookup(ptr)
+        slot_addr, columns, offset = self._sizes.lookup(ptr)
         self._meter.touch(slot_addr, 8)
-        storage[0] = size
+        columns[0][offset] = size
 
     def _on_calloc(self, ctx) -> None:
         self._meter.cycles(4)
         ptr = ctx.result
         total = ctx.ops[0] * ctx.ops[1]
         self._set_range(ptr, total, 0)
-        slot_addr, storage = self._sizes.lookup(ptr)
+        slot_addr, columns, offset = self._sizes.lookup(ptr)
         self._meter.touch(slot_addr, 8)
-        storage[0] = total
+        columns[0][offset] = total
 
     def _on_free(self, ctx) -> None:
         self._meter.cycles(3)
         ptr = ctx.ops[0]
-        slot_addr, storage = self._sizes.lookup(ptr)
+        slot_addr, columns, offset = self._sizes.lookup(ptr)
         self._meter.touch(slot_addr, 8)
-        if storage[0]:
-            self._set_range(ptr, storage[0], _POISON)
-            storage[0] = 0
+        sizes = columns[0]
+        if sizes[offset]:
+            self._set_range(ptr, sizes[offset], _POISON)
+            sizes[offset] = 0
 
     def _on_memset(self, ctx) -> None:
         self._meter.cycles(2)

@@ -31,15 +31,12 @@ from repro.compiler.pipeline import (
     compile_analysis,
 )
 from repro.compiler.combine import combine_programs, combine_sources
-from repro.compiler.profile_guided import AccessProfile, profile_analysis
 
 __all__ = [
-    "AccessProfile",
     "AnalysisRuntime",
     "CompileOptions",
     "CompiledAnalysis",
     "combine_programs",
     "combine_sources",
     "compile_analysis",
-    "profile_analysis",
 ]

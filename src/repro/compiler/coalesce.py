@@ -120,15 +120,8 @@ def coalesce_maps(
     info: ProgramInfo,
     summary: Optional[AccessSummary] = None,
     enabled: bool = True,
-    access_profile=None,
 ) -> List[MapGroup]:
-    """Group metadata maps; declaration order is preserved within groups.
-
-    With an :class:`repro.compiler.profile_guided.AccessProfile`, static
-    groups are refined by *measured* access frequency: members the
-    training run (almost) never touched are split into their own groups,
-    implementing the paper's profile-guided future work (section 3.2.1).
-    """
+    """Group metadata maps; declaration order is preserved within groups."""
     groups: List[MapGroup] = []
     if not enabled:
         for map_info in info.maps.values():
@@ -154,20 +147,6 @@ def coalesce_maps(
             by_class[klass] = group
             groups.append(group)
         group.members.append(map_info)
-
-    if access_profile is not None:
-        refined: List[MapGroup] = []
-        for group in groups:
-            for members in access_profile.split_cold_members(group.members):
-                refined.append(
-                    MapGroup(
-                        name=group.name,
-                        key=group.key,
-                        members=members,
-                        hot=group.hot,
-                    )
-                )
-        groups = refined
 
     for group in groups:
         group.name = "+".join(member.name for member in group.members)

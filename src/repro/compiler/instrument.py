@@ -15,7 +15,7 @@ from repro.errors import CompileError
 from repro.runtime.array_map import ArrayMap
 from repro.runtime.bitvector import BitVecSet
 from repro.runtime.hash_map import HashMap
-from repro.runtime.metadata import CoalescedMap, FieldSpec
+from repro.runtime.metadata import CoalescedMap, FieldSpec, column_defaults
 from repro.runtime.page_table import PageTableMap
 from repro.runtime.shadow_memory import ShadowMemory
 from repro.runtime.sync import SyncPolicy
@@ -40,7 +40,7 @@ def _field_default(plan: FieldPlan, meter, space) -> Callable[[], object]:
     raise CompileError(f"unknown field representation {plan.repr!r}")
 
 
-def _build_impl(plan: GroupPlan, meter, space, make_values):
+def _build_impl(plan: GroupPlan, meter, space, defaults):
     name = plan.group.name
     if plan.structure == "array":
         # Sparse keys (bounded lockids) are already interned to dense ids
@@ -50,7 +50,7 @@ def _build_impl(plan: GroupPlan, meter, space, make_values):
             space,
             value_bytes=plan.value_bytes,
             domain=plan.key_domain,
-            make_values=make_values,
+            defaults=defaults,
             interner=None,
             name=name,
         )
@@ -60,7 +60,7 @@ def _build_impl(plan: GroupPlan, meter, space, make_values):
             space,
             value_bytes=plan.value_bytes,
             granularity=plan.granularity,
-            make_values=make_values,
+            defaults=defaults,
             name=name,
         )
     if plan.structure == "pagetable":
@@ -69,7 +69,7 @@ def _build_impl(plan: GroupPlan, meter, space, make_values):
             space,
             value_bytes=plan.value_bytes,
             granularity=plan.granularity,
-            make_values=make_values,
+            defaults=defaults,
             name=name,
         )
     if plan.structure == "hash":
@@ -78,7 +78,7 @@ def _build_impl(plan: GroupPlan, meter, space, make_values):
             space,
             value_bytes=plan.value_bytes,
             granularity=plan.granularity,
-            make_values=make_values,
+            defaults=defaults,
             name=name,
         )
     raise CompileError(f"unknown structure {plan.structure!r}")
@@ -94,27 +94,22 @@ def build_maps(
     maps: List[CoalescedMap] = []
     shared_sync: Optional[SyncPolicy] = None
     for plan in layout.groups:
-        factories = [_field_default(field, meter, space) for field in plan.fields]
-
-        def make_values(factories=factories):
-            return [factory() for factory in factories]
-
-        impl = _build_impl(plan, meter, space, make_values)
-        sync = None
-        if plan.group.sync:
-            if shared_sync is None:
-                shared_sync = SyncPolicy(meter, space, memo=memo)
-            sync = shared_sync
         fields = [
             FieldSpec(
                 name=field.map_name,
                 offset=field.offset,
                 size=field.size,
                 kind=field.repr,
-                default_factory=factory,
+                default_factory=_field_default(field, meter, space),
             )
-            for field, factory in zip(plan.fields, factories)
+            for field in plan.fields
         ]
+        impl = _build_impl(plan, meter, space, column_defaults(fields))
+        sync = None
+        if plan.group.sync:
+            if shared_sync is None:
+                shared_sync = SyncPolicy(meter, space, memo=memo)
+            sync = shared_sync
         maps.append(
             CoalescedMap(plan.group.name, impl, fields, meter, sync=sync, memo=memo)
         )

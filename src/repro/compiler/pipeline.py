@@ -194,14 +194,8 @@ def compile_analysis(
     program: Union[str, ast.Program, ProgramInfo],
     options: Optional[CompileOptions] = None,
     externals: Optional[ExternalRegistry] = None,
-    access_profile=None,
 ) -> CompiledAnalysis:
-    """Run the full ALDAcc pipeline (sections 3.2 and 5 of the paper).
-
-    ``access_profile`` (from
-    :func:`repro.compiler.profile_guided.profile_analysis`) enables the
-    profile-guided refinement of metadata grouping.
-    """
+    """Run the full ALDAcc pipeline (sections 3.2 and 5 of the paper)."""
     options = options or CompileOptions()
     if options.granularity not in (1, 2, 4, 8):
         raise CompileError(
@@ -225,8 +219,7 @@ def compile_analysis(
         )
 
     accesses = analyze_accesses(info)
-    groups = coalesce_maps(info, accesses, enabled=options.coalesce,
-                           access_profile=access_profile)
+    groups = coalesce_maps(info, accesses, enabled=options.coalesce)
     layout = plan_layout(
         groups,
         granularity=options.granularity,

@@ -13,9 +13,15 @@ overflow wraps and is counted rather than crashing the run.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence
 
-from repro.runtime.metadata import fold_or_store_slots
+from repro.runtime.metadata import (
+    Slot,
+    count_materialized,
+    fold_or_store_slots,
+    new_columns,
+    split_defaults,
+)
 
 
 class KeyInterner:
@@ -55,7 +61,7 @@ class ArrayMap:
         space,
         value_bytes: int,
         domain: int,
-        make_values: Callable[[], list],
+        defaults: Sequence[object],
         interner: Optional[KeyInterner] = None,
         name: str = "array",
     ) -> None:
@@ -65,34 +71,28 @@ class ArrayMap:
         self.value_bytes = value_bytes
         self.domain = domain
         self.granularity = 1
-        self._make_values = make_values
+        fill, self._factories = split_defaults(defaults)
         self.interner = interner
         self.base = space.reserve(domain * value_bytes, label=f"{name}-table")
         self.meter.footprint(domain * value_bytes)
-        self._data: Dict[int, list] = {}
+        self._columns = new_columns(fill, domain)  # the whole table is one chunk
 
-    def _slot(self, index: int) -> Tuple[int, list]:
-        address = self.base + index * self.value_bytes
-        storage = self._data.get(index)
-        if storage is None:
-            storage = self._make_values()
-            self._data[index] = storage
-        return address, storage
-
-    def lookup(self, key: int) -> Tuple[int, list]:
+    def lookup(self, key: int) -> Slot:
         if self.interner is not None:
             key = self.interner.intern(key)
         elif key >= self.domain or key < 0:
             key = key % self.domain
         self.meter.cycles(1)
-        return self._slot(key)
+        self._columns[-1][key] = 1
+        return self.base + key * self.value_bytes, self._columns, key
 
     def fold_or_store(self, key: int, n_bytes: int, index: int, store: bool = False, value=None):
         # Bounded-domain maps are keyed by ids, not addresses: a "range"
         # over n bytes means the single containing entry.
         return fold_or_store_slots(
-            self.lookup, (key,), index, store, value, self.value_bytes
+            self.lookup, (key,), index, store, value, self.value_bytes,
+            self._factories[index],
         )
 
     def __len__(self) -> int:
-        return len(self._data)
+        return count_materialized((self._columns,))

@@ -10,12 +10,15 @@ where the paper reports non-trivial benchmarks running out of memory).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Dict, Sequence
 
-from repro.runtime.metadata import fold_or_store_slots
+from repro.runtime.metadata import Slot, fold_or_store_slots, new_columns, split_defaults
 
 _BUCKETS = 1 << 16
 _ENTRY_OVERHEAD = 24  # key + next pointer + allocator header
+#: slot indices per storage chunk (a power of two)
+_CHUNK_BITS = 12
+_CHUNK_MASK = (1 << _CHUNK_BITS) - 1
 
 
 class HashMap:
@@ -27,7 +30,7 @@ class HashMap:
         space,
         value_bytes: int,
         granularity: int,
-        make_values: Callable[[], list],
+        defaults: Sequence[object],
         name: str = "hashmap",
     ) -> None:
         self.meter = meter
@@ -35,28 +38,33 @@ class HashMap:
         self.value_bytes = value_bytes
         self.granularity = granularity
         self._shift = granularity.bit_length() - 1
-        self._make_values = make_values
+        self._fill, self._factories = split_defaults(defaults)
         self._name = name
         self.bucket_base = space.reserve(_BUCKETS * 8, label=f"{name}-buckets")
         self.meter.footprint(_BUCKETS * 8)
-        self._entries: Dict[int, Tuple[int, list]] = {}
+        self._addresses: Dict[int, int] = {}  # slot index -> entry's value address
+        self._chunks: Dict[int, list] = {}  # index >> _CHUNK_BITS -> columns
 
-    def _slot(self, index: int) -> Tuple[int, list]:
+    def _slot(self, index: int) -> Slot:
         # Hash, probe the bucket array, then chase the entry pointer.
         self.meter.cycles(3)
         bucket = (index * 0x9E3779B97F4A7C15) & (_BUCKETS - 1)
         self.meter.touch(self.bucket_base + bucket * 8, 8)
-        entry = self._entries.get(index)
-        if entry is None:
+        address = self._addresses.get(index)
+        if address is None:
             entry_bytes = self.value_bytes + _ENTRY_OVERHEAD
-            address = self.space.reserve(entry_bytes, align=16, label=f"{self._name}-entry")
+            entry = self.space.reserve(entry_bytes, align=16, label=f"{self._name}-entry")
             self.meter.footprint(entry_bytes)
-            entry = (address + _ENTRY_OVERHEAD, self._make_values())
-            self._entries[index] = entry
-        self.meter.touch(entry[0] - _ENTRY_OVERHEAD, 8)  # entry header (key check)
-        return entry
+            address = self._addresses[index] = entry + _ENTRY_OVERHEAD
+        self.meter.touch(address - _ENTRY_OVERHEAD, 8)  # entry header (key check)
+        columns = self._chunks.get(index >> _CHUNK_BITS)
+        if columns is None:
+            columns = self._chunks[index >> _CHUNK_BITS] = new_columns(
+                self._fill, _CHUNK_MASK + 1, marks=False
+            )
+        return address, columns, index & _CHUNK_MASK
 
-    def lookup(self, key: int) -> Tuple[int, list]:
+    def lookup(self, key: int) -> Slot:
         return self._slot(key >> self._shift)
 
     def fold_or_store(self, key: int, n_bytes: int, index: int, store: bool = False, value=None):
@@ -65,8 +73,9 @@ class HashMap:
         first = key >> self._shift
         last = (key + n_bytes - 1) >> self._shift
         return fold_or_store_slots(
-            self._slot, range(first, last + 1), index, store, value, self.value_bytes
+            self._slot, range(first, last + 1), index, store, value, self.value_bytes,
+            self._factories[index],
         )
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._addresses)

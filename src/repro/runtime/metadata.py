@@ -19,9 +19,38 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.vm.memory import AddressSpace
 
-Slot = Tuple[int, list]  # (simulated value-record address, field storage)
+#: (simulated value-record address, per-field columns, offset into them):
+#: field ``i`` of the slot is ``columns[i][offset]``
+Slot = Tuple[int, list, int]
 #: contiguous slot runs as (first slot address, last slot address) pairs
 Runs = Sequence[Tuple[int, int]]
+
+
+def split_defaults(defaults: Sequence[object]) -> Tuple[list, list]:
+    """Split per-field defaults into ``(fill, factories)``.
+
+    A scalar default pre-fills its column.  A callable one is a set
+    factory: its column holds ``None`` until the slot's first load
+    creates the set, which bills nothing, like any set creation.
+    """
+    fill = [None if callable(default) else default for default in defaults]
+    factories = [default if callable(default) else None for default in defaults]
+    return fill, factories
+
+
+def new_columns(fill: Sequence[object], length: int, marks: bool = True) -> list:
+    """One chunk of ``length`` slots: a flat list per field, pre-filled,
+    then (with ``marks``) a byte per slot, set once the slot is
+    materialized, which :func:`count_materialized` counts.  The marks
+    are a memoryview, whose slice assignment is the cheaper one."""
+    columns = [[value] * length for value in fill]
+    if marks:
+        columns.append(memoryview(bytearray(length)))
+    return columns
+
+
+def count_materialized(chunks: Iterable[list]) -> int:
+    return sum(columns[-1].obj.count(1) for columns in chunks)
 
 
 def fold_or_store_slots(
@@ -31,25 +60,31 @@ def fold_or_store_slots(
     store: bool,
     value,
     stride: int,
+    factory: Optional[Callable[[], object]] = None,
 ) -> Tuple[object, Runs]:
     """The range operation of structures whose slots need per-slot work.
 
     Resolves ``slot(i)`` for each ``i`` in ``indices`` in order, so the
     structure bills each slot exactly as a point lookup would, and ORs
     field ``index`` into the result or stores ``value`` there (one copy
-    per slot when it has ``copy``).  Returns ``(folded, runs)``: the
-    maximal runs of slots ``stride`` bytes apart.
+    per slot when it has ``copy``); ``factory`` creates a set field on
+    its first load.  Returns ``(folded, runs)``: the maximal runs of
+    slots ``stride`` bytes apart.
     """
     copyable = store and hasattr(value, "copy")
     folded = 0
     runs = []
     lo = hi = None
     for i in indices:
-        address, storage = slot(i)
+        address, columns, offset = slot(i)
+        column = columns[index]
         if store:
-            storage[index] = value.copy() if copyable else value
+            column[offset] = value.copy() if copyable else value
         else:
-            folded |= storage[index]
+            current = column[offset]
+            if current is None:
+                current = column[offset] = factory()
+            folded |= current
         if hi is not None and address == hi + stride:
             hi = address
             continue
@@ -108,11 +143,17 @@ class FieldSpec:
     name: str
     offset: int
     size: int
-    kind: str  # "int" | "set" | "handle"
+    kind: str  # "int", or the set representation ("bitvec", "treeset", ...)
     default_factory: Callable[[], object]
 
-    def default(self) -> object:
-        return self.default_factory()
+
+def column_defaults(fields: Sequence[FieldSpec]) -> list:
+    """The per-field defaults a structure is built with: the value itself
+    for ``int`` fields, the factory for set fields."""
+    return [
+        field.default_factory() if field.kind == "int" else field.default_factory
+        for field in fields
+    ]
 
 
 class CoalescedMap:
@@ -121,9 +162,11 @@ class CoalescedMap:
     ``impl`` is one of :class:`repro.runtime.shadow_memory.ShadowMemory`,
     :class:`repro.runtime.page_table.PageTableMap`,
     :class:`repro.runtime.array_map.ArrayMap` or
-    :class:`repro.runtime.hash_map.HashMap` — all provide ``lookup(key)``
-    and ``fold_or_store(key, n_bytes, index, store, value)``, which
-    returns the folded value and the contiguous slot runs to bill.
+    :class:`repro.runtime.hash_map.HashMap` — all provide ``lookup(key)``,
+    which returns a :data:`Slot`, and ``fold_or_store(key, n_bytes,
+    index, store, value)``, which returns the folded value and the
+    contiguous slot runs to bill.  Each keeps its fields column-wise in
+    chunks built by :func:`new_columns`.
     """
 
     #: counter for memo identities
@@ -147,9 +190,6 @@ class CoalescedMap:
         #: the mechanism behind lookup coalescing when several handlers at
         #: one insertion point access the same group under the same key.
         self.memo = memo
-        #: Optional per-field dynamic access counters (profiling runs for
-        #: profile-guided optimization fill these; None in normal runs).
-        self.access_counts: Optional[dict] = None
         CoalescedMap._next_mid += 1
         self._mid = CoalescedMap._next_mid
         self._index = {field.name: position for position, field in enumerate(self.fields)}
@@ -183,11 +223,6 @@ class CoalescedMap:
             memo[memo_key] = slot
         return slot
 
-    def _count_access(self, field: FieldSpec) -> None:
-        counts = self.access_counts
-        if counts is not None:
-            counts[field.name] = counts.get(field.name, 0) + 1
-
     def _bill_field(self, slot: Slot, field: FieldSpec) -> None:
         """Bill the cache access behind one field read/write.
 
@@ -207,15 +242,16 @@ class CoalescedMap:
 
     def load(self, slot: Slot, field_index: int):
         field = self.fields[field_index]
-        self._count_access(field)
         self._bill_field(slot, field)
-        return slot[1][field_index]
+        column = slot[1][field_index]
+        value = column[slot[2]]
+        if value is None:
+            value = column[slot[2]] = field.default_factory()
+        return value
 
     def store(self, slot: Slot, field_index: int, value) -> None:
-        field = self.fields[field_index]
-        self._count_access(field)
-        self._bill_field(slot, field)
-        slot[1][field_index] = value
+        self._bill_field(slot, self.fields[field_index])
+        slot[1][field_index][slot[2]] = value
 
     def get(self, key: int, field_index: int = 0):
         return self.load(self.lookup(key), field_index)
@@ -247,10 +283,8 @@ class CoalescedMap:
             return 0
         if self.sync is not None:
             self.sync.enter(key)
-        field = self.fields[field_index]
-        self._count_access(field)
         folded, runs = self.impl.fold_or_store(key, n_bytes, field_index)
-        self._bill_runs(runs, field)
+        self._bill_runs(runs, self.fields[field_index])
         return folded
 
     def store_range(self, key: int, n_bytes: int, field_index: int, value) -> None:
@@ -258,7 +292,5 @@ class CoalescedMap:
             return
         if self.sync is not None:
             self.sync.enter(key)
-        field = self.fields[field_index]
-        self._count_access(field)
         _, runs = self.impl.fold_or_store(key, n_bytes, field_index, True, value)
-        self._bill_runs(runs, field)
+        self._bill_runs(runs, self.fields[field_index])

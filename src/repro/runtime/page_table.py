@@ -8,9 +8,15 @@ walk) on every lookup.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
-from repro.runtime.metadata import fold_or_store_slots
+from repro.runtime.metadata import (
+    Slot,
+    count_materialized,
+    fold_or_store_slots,
+    new_columns,
+    split_defaults,
+)
 
 #: bytes of metadata committed per data page (an OS page), independent of
 #: the value size — fat records get fewer entries per page, like a real
@@ -29,7 +35,7 @@ class PageTableMap:
         space,
         value_bytes: int,
         granularity: int,
-        make_values: Callable[[], list],
+        defaults: Sequence[object],
         name: str = "pagetable",
     ) -> None:
         if granularity not in (1, 2, 4, 8):
@@ -39,14 +45,15 @@ class PageTableMap:
         self.value_bytes = value_bytes
         self.granularity = granularity
         self._shift = granularity.bit_length() - 1
-        self._make_values = make_values
+        self._fill, self._factories = split_defaults(defaults)
         self._name = name
         self.page_entries = max(_MIN_PAGE_ENTRIES, _PAGE_BYTES // value_bytes)
         self.dir_base = space.reserve(_DIR_SPAN, label=f"{name}-dir")
         self.meter.footprint(_DIR_SPAN // 1024)  # sparse directory commit
-        self._pages: Dict[int, Tuple[int, Dict[int, list]]] = {}
+        self._pages: Dict[int, Tuple[int, list]] = {}
 
-    def _page(self, top: int) -> Tuple[int, Dict[int, list]]:
+    def _page(self, top: int) -> Tuple[int, list]:
+        """The page's base address and columns (one chunk per page)."""
         # Directory walk: two dependent accesses (root entry, then the
         # second-level directory entry) before the data page itself.
         self.meter.touch(self.dir_base + (top % 512) * 8, 8)
@@ -56,21 +63,17 @@ class PageTableMap:
             page_bytes = self.page_entries * self.value_bytes
             base = self.space.reserve(page_bytes, label=f"{self._name}-page")
             self.meter.footprint(page_bytes)
-            page = (base, {})
+            page = (base, new_columns(self._fill, self.page_entries))
             self._pages[top] = page
         return page
 
-    def _slot(self, index: int) -> Tuple[int, list]:
+    def _slot(self, index: int) -> Slot:
         top, low = divmod(index, self.page_entries)
-        page_base, entries = self._page(top)
-        address = page_base + low * self.value_bytes
-        storage = entries.get(low)
-        if storage is None:
-            storage = self._make_values()
-            entries[low] = storage
-        return address, storage
+        page_base, columns = self._page(top)
+        columns[-1][low] = 1
+        return page_base + low * self.value_bytes, columns, low
 
-    def lookup(self, key: int) -> Tuple[int, list]:
+    def lookup(self, key: int) -> Slot:
         self.meter.cycles(2)  # index split + bounds math
         return self._slot(key >> self._shift)
 
@@ -81,7 +84,8 @@ class PageTableMap:
         first = key >> self._shift
         last = (key + n_bytes - 1) >> self._shift
         return fold_or_store_slots(
-            self._slot, range(first, last + 1), index, store, value, self.value_bytes
+            self._slot, range(first, last + 1), index, store, value, self.value_bytes,
+            self._factories[index],
         )
 
     @property
@@ -89,4 +93,4 @@ class PageTableMap:
         return len(self._pages)
 
     def __len__(self) -> int:
-        return sum(len(entries) for _, entries in self._pages.values())
+        return count_materialized(columns for _, columns in self._pages.values())

@@ -10,15 +10,22 @@ Committed footprint is billed per touched 4 KiB shadow page, mirroring
 demand paging of a large virtual reservation.  Slots are contiguous, so
 a range operation is arithmetic: its first and last slot, the pages
 between them, and one span for the caller to bill as a wide access.
+Storage is columnar in 4096-slot chunks, so within a chunk the range's
+values are one slice of each field's column.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Dict, Sequence
 
+from repro.runtime.metadata import Slot, count_materialized, new_columns, split_defaults
 from repro.vm.memory import AddressSpace
 
 _PAGE = 4096
+#: slots per storage chunk (a power of two)
+_CHUNK_BITS = 12
+_CHUNK_MASK = (1 << _CHUNK_BITS) - 1
+_MARKS = b"\x01" * (1 << _CHUNK_BITS)
 
 #: End of program-visible address space that shadow mappings must cover.
 PROGRAM_SPACE_END = AddressSpace.STACK_BASE + 64 * AddressSpace.STACK_STRIDE
@@ -33,7 +40,7 @@ class ShadowMemory:
         space,
         value_bytes: int,
         granularity: int,
-        make_values: Callable[[], list],
+        defaults: Sequence[object],
         name: str = "shadow",
     ) -> None:
         if granularity not in (1, 2, 4, 8):
@@ -42,27 +49,32 @@ class ShadowMemory:
         self.value_bytes = value_bytes
         self.granularity = granularity
         self._shift = granularity.bit_length() - 1
-        self._make_values = make_values
+        self._fill, self._factories = split_defaults(defaults)
         span = (PROGRAM_SPACE_END >> self._shift) * value_bytes
         self.base = space.reserve(span, align=_PAGE, label=f"{name}-span")
-        self._data: Dict[int, list] = {}
+        self._chunks: Dict[int, list] = {}
         self._touched_pages = set()
 
-    def _slot(self, index: int) -> Tuple[int, list]:
+    def _chunk(self, number: int) -> list:
+        columns = self._chunks.get(number)
+        if columns is None:
+            columns = self._chunks[number] = new_columns(self._fill, _CHUNK_MASK + 1)
+        return columns
+
+    def lookup(self, key: int) -> Slot:
+        self.meter.cycles(1)  # shift+add address arithmetic
+        index = key >> self._shift
         address = self.base + index * self.value_bytes
         page = address >> 12
         if page not in self._touched_pages:
             self._touched_pages.add(page)
             self.meter.footprint(_PAGE)
-        storage = self._data.get(index)
-        if storage is None:
-            storage = self._make_values()
-            self._data[index] = storage
-        return address, storage
-
-    def lookup(self, key: int) -> Tuple[int, list]:
-        self.meter.cycles(1)  # shift+add address arithmetic
-        return self._slot(key >> self._shift)
+        columns = self._chunks.get(index >> _CHUNK_BITS)
+        if columns is None:
+            columns = self._chunk(index >> _CHUNK_BITS)
+        offset = index & _CHUNK_MASK
+        columns[-1][offset] = 1
+        return address, columns, offset
 
     def fold_or_store(self, key: int, n_bytes: int, index: int, store: bool = False, value=None):
         """OR field ``index`` over the slots covering ``[key, key+n_bytes)``,
@@ -71,6 +83,7 @@ class ShadowMemory:
         Bills 1 cycle and the footprint of each newly touched page;
         returns ``(folded, runs)`` with the slots' single
         ``(first, last)`` address span, or no span for an empty range.
+        Within one chunk, a scalar store or fold is a slice operation.
         """
         self.meter.cycles(1)
         first = key >> self._shift
@@ -80,34 +93,77 @@ class ShadowMemory:
         value_bytes = self.value_bytes
         lo = self.base + first * value_bytes
         hi = self.base + last * value_bytes
+        page = lo >> 12
+        if page == hi >> 12:
+            if page not in self._touched_pages:
+                self._touched_pages.add(page)
+                self.meter.footprint(_PAGE)
+        else:
+            self._commit_pages(lo, hi)
+        number = first >> _CHUNK_BITS
+        if number == last >> _CHUNK_BITS and (
+            not store and self._factories[index] is None
+            or store and not hasattr(value, "copy")
+        ):
+            # The common case: a scalar store or fold within one chunk.
+            columns = self._chunks.get(number)
+            if columns is None:
+                columns = self._chunk(number)
+            a = first & _CHUNK_MASK
+            b = a + last - first + 1
+            columns[-1][a:b] = _MARKS[a:b]
+            if store:
+                columns[index][a:b] = [value] * (b - a)
+                return 0, ((lo, hi),)
+            values = columns[index][a:b]
+            folded = 0
+            if any(values):
+                for current in values:
+                    folded |= current
+            return folded, ((lo, hi),)
+        return self._fold_or_store_chunks(first, last, index, store, value), ((lo, hi),)
+
+    def _commit_pages(self, lo: int, hi: int) -> None:
+        """Bill the footprint of each new page under slots ``lo..hi``."""
         # Slots no wider than a page leave no page between lo and hi
         # without a slot start; wider ones are paged slot by slot.
-        if value_bytes <= _PAGE:
+        if self.value_bytes <= _PAGE:
             pages = range(lo >> 12, (hi >> 12) + 1)
         else:
-            pages = [address >> 12 for address in range(lo, hi + 1, value_bytes)]
+            pages = [address >> 12 for address in range(lo, hi + 1, self.value_bytes)]
         touched = self._touched_pages
         for page in pages:
             if page not in touched:
                 touched.add(page)
                 self.meter.footprint(_PAGE)
-        data = self._data
-        make_values = self._make_values
+
+    def _fold_or_store_chunks(self, first: int, last: int, index: int, store: bool, value):
+        """:meth:`fold_or_store` chunk by chunk, for ranges across chunks,
+        copied stores and set folds; the footprint is already billed."""
+        copyable = store and hasattr(value, "copy")
+        factory = self._factories[index]
         folded = 0
-        if store:
-            copyable = hasattr(value, "copy")
-            for slot in range(first, last + 1):
-                storage = data.get(slot)
-                if storage is None:
-                    storage = data[slot] = make_values()
-                storage[index] = value.copy() if copyable else value
-        else:
-            for slot in range(first, last + 1):
-                storage = data.get(slot)
-                if storage is None:
-                    storage = data[slot] = make_values()
-                folded |= storage[index]
-        return folded, ((lo, hi),)
+        for number in range(first >> _CHUNK_BITS, (last >> _CHUNK_BITS) + 1):
+            columns = self._chunk(number)
+            a = max(first, number << _CHUNK_BITS) & _CHUNK_MASK
+            b = (min(last, number << _CHUNK_BITS | _CHUNK_MASK) & _CHUNK_MASK) + 1
+            columns[-1][a:b] = _MARKS[a:b]
+            column = columns[index]
+            if copyable:
+                for offset in range(a, b):
+                    column[offset] = value.copy()
+            elif store:
+                column[a:b] = [value] * (b - a)
+            elif factory is None:
+                for current in column[a:b]:
+                    folded |= current
+            else:
+                for offset in range(a, b):
+                    current = column[offset]
+                    if current is None:
+                        current = column[offset] = factory()
+                    folded |= current
+        return folded
 
     def __len__(self) -> int:
-        return len(self._data)
+        return count_materialized(self._chunks.values())

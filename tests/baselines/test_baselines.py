@@ -108,7 +108,7 @@ def test_empty_range_billing_asymmetry():
 
     profile = Profile()
     meter = CostMeter(profile, CacheSim())
-    shadow = ShadowMemory(meter, MetadataSpace.fresh(), 1, 1, lambda: [0])
+    shadow = ShadowMemory(meter, MetadataSpace.fresh(), 1, 1, [0])
     cmap = CoalescedMap("m", shadow, [FieldSpec("label", 0, 1, "int", int)], meter)
     def billed():
         return (profile.instr_cycles, profile.metadata_ops, profile.metadata_bytes,

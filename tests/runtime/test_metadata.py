@@ -3,7 +3,7 @@
 import pytest
 
 from repro.runtime.bitvector import BitVecSet
-from repro.runtime.metadata import CoalescedMap, FieldSpec, MetadataSpace
+from repro.runtime.metadata import CoalescedMap, FieldSpec, MetadataSpace, column_defaults
 from repro.runtime.shadow_memory import ShadowMemory
 from repro.runtime.sync import SyncPolicy
 from repro.vm.cache import CacheSim
@@ -46,15 +46,10 @@ def build_map(fields_spec, memo=None, sync=False, granularity=8):
     space = MetadataSpace.fresh()
     fields = []
     offset = 0
-    factories = []
     for name, size, factory in fields_spec:
         fields.append(FieldSpec(name, offset, size, "int", factory))
-        factories.append(factory)
         offset += size
-    impl = ShadowMemory(
-        meter, space, max(1, offset), granularity,
-        lambda: [factory() for factory in factories],
-    )
+    impl = ShadowMemory(meter, space, max(1, offset), granularity, column_defaults(fields))
     policy = SyncPolicy(meter, space, memo=memo) if sync else None
     return CoalescedMap("m", impl, fields, meter, sync=policy, memo=memo), profile
 
@@ -77,7 +72,7 @@ class TestCoalescedMap:
             return BitVecSet.universe(16, meter)
 
         field = FieldSpec("locks", 0, 8, "set", factory)
-        impl = ShadowMemory(meter, space, 8, 8, lambda: [factory()])
+        impl = ShadowMemory(meter, space, 8, 8, [factory])
         cmap = CoalescedMap("m", impl, [field], meter)
         assert cmap.get(0x1000_0000, 0).is_universe()
 
@@ -119,7 +114,7 @@ class TestCoalescedMap:
             return BitVecSet.empty(8, meter)
 
         field = FieldSpec("s", 0, 8, "set", factory)
-        impl = ShadowMemory(meter, space, 8, 8, lambda: [factory()])
+        impl = ShadowMemory(meter, space, 8, 8, [factory])
         cmap = CoalescedMap("m", impl, [field], meter)
         template = BitVecSet.empty(8, meter)
         template.add(1)

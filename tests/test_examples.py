@@ -57,17 +57,3 @@ def test_examples_directory_complete():
     assert {"quickstart.py", "race_detection.py",
             "custom_sanitizer.py", "combined_analysis.py"} <= names
 
-
-def test_profile_guided():
-    out = run_example("profile_guided.py")
-    assert "static layout" in out
-    assert "profile-guided layout" in out
-    # the diag maps get split out of the hot record
-    assert "addr2Limit+diagSite" in out          # static: falsely grouped
-    assert "\naddr2Limit: shadow" in out         # guided: lean hot map
-    # and the production run gets cheaper
-    static_line = next(l for l in out.splitlines() if "static grouping" in l)
-    guided_line = next(l for l in out.splitlines() if "profile-guided:" in l)
-    static_overhead = float(static_line.split()[-1].rstrip("x"))
-    guided_overhead = float(guided_line.split()[-1].rstrip("x"))
-    assert guided_overhead < static_overhead
