@@ -331,6 +331,10 @@ class _Checker:
                 raise AldaTypeError("map.get takes (k) or (k, n)", expr.line)
             if any(t != _INT for t in arg_types):
                 raise AldaTypeError("map.get arguments must be scalars", expr.line)
+            if len(arg_types) == 2 and value_is_set:
+                raise AldaTypeError(
+                    "range map.get is only defined for scalar values", expr.line
+                )
             return value_type
         if expr.method == "set":
             if len(arg_types) not in (2, 3):

@@ -2,13 +2,14 @@
 
 One recorded trace is analyzed end-to-end by one VM today; on the
 biggest workloads that binds serve/cluster throughput to single-core
-speed.  This package splits a replay into shards along the v2 segment
-index (or a planner scan of a v1 payload):
+speed.  This package splits a replay into shards along the trace's
+segment index:
 
-* :mod:`repro.partition.planner` — cut a v1 or v2 trace into N
-  contiguous shards with balanced record counts, each carrying the
-  decoder snapshot (string-table prefix, last access address, frame
-  serial, running counters) needed to decode standalone;
+* :mod:`repro.partition.planner` — cut a trace into N contiguous shards
+  at segment boundaries, balancing record counts, from the tail meta
+  alone; each shard carries the decoder snapshot (string-table prefix,
+  last address, frame serial, running counters) needed to decode
+  standalone;
 * :mod:`repro.partition.shard` — the worker-side task: range-read and
   digest-verify only this shard's segments, decode them into resolved
   record tuples, and pre-filter records the requested analyses can

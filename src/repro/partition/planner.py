@@ -13,36 +13,15 @@ touching any other byte of the trace:
   (events carry a global sequence number; frame pushes assign serials
   implicitly).
 
-For v2 traces the cut candidates are exactly the segment boundaries
-from the tail index — planning needs only the tail meta, no payload IO.
-For v1 traces the planner makes one cheap skip-scan over the payload
-(no tuple materialization) collecting a checkpoint every few thousand
-records, then cuts at the checkpoints closest to an even record split.
+The cut candidates are exactly the segment boundaries from the trace's
+tail index, so planning needs only the tail meta — no payload IO — and
+cuts at the boundaries closest to an even record split.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
-from repro.trace.format import (
-    FORMAT_VERSION_V2,
-    OP_ACCESS,
-    OP_DEFAULT,
-    OP_EVENT,
-    OP_MOV,
-    OP_OR2,
-    OP_POP,
-    OP_PUSH,
-    OP_SET0,
-    OP_STR,
-    OP_SUMMARY,
-    EVF_HAS_BT,
-    EVF_HAS_RESULT,
-    TraceFormatError,
-    TraceReader,
-    read_varint,
-)
+from typing import List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -52,10 +31,9 @@ class ShardSpec:
     index: int
     ustart: int  # uncompressed payload byte range [ustart, uend)
     uend: int
-    #: v2: [seg_start, seg_end) into the trace's segment index;
-    #: None for v1 shards (cut by payload scan, read as one blob).
-    seg_start: Optional[int]
-    seg_end: Optional[int]
+    #: [seg_start, seg_end) into the trace's segment index
+    seg_start: int
+    seg_end: int
     n_strings: int
     last_address: int
     next_serial: int
@@ -71,7 +49,6 @@ class PartitionPlan:
     """The full cut of one trace into replay shards."""
 
     digest: str
-    version: int
     requested_shards: int
     shards: Tuple[ShardSpec, ...]
     #: Final interned string table; shard ``k`` seeds its decoder with
@@ -87,10 +64,10 @@ class PartitionPlan:
 
 @dataclass(frozen=True)
 class _Candidate:
-    """A cut-safe position: a record boundary with known decoder state."""
+    """A segment boundary with the decoder state its snapshot records."""
 
     pos: int
-    seg_index: Optional[int]
+    seg_index: int
     n_strings: int
     last_address: int
     next_serial: int
@@ -99,108 +76,8 @@ class _Candidate:
     accesses_before: int
 
 
-def _skip_event(buf: bytes, pos: int) -> int:
-    """Advance past one OP_EVENT body without materializing it."""
-    flags, pos = read_varint(buf, pos)
-    _, pos = read_varint(buf, pos)  # kind id
-    _, pos = read_varint(buf, pos)  # tid
-    _, pos = read_varint(buf, pos)  # frame serial
-    n_ops, pos = read_varint(buf, pos)
-    for _ in range(n_ops):
-        _, pos = read_varint(buf, pos)
-    if flags & EVF_HAS_RESULT:
-        _, pos = read_varint(buf, pos)
-    n_sizes, pos = read_varint(buf, pos)
-    for _ in range(n_sizes):
-        _, pos = read_varint(buf, pos)
-    _, pos = read_varint(buf, pos)  # result size
-    n_regs, pos = read_varint(buf, pos)
-    for _ in range(n_regs):
-        _, pos = read_varint(buf, pos)
-    _, pos = read_varint(buf, pos)  # result reg id
-    _, pos = read_varint(buf, pos)  # loc id
-    if flags & EVF_HAS_BT:
-        _, pos = read_varint(buf, pos)
-    return pos
-
-
-#: varint field counts for the fixed-shape opcodes the scan skips.
-_SKIP_FIELDS = {
-    OP_ACCESS: 2,
-    OP_SET0: 2,
-    OP_DEFAULT: 2,
-    OP_OR2: 4,
-    OP_MOV: 4,
-    OP_PUSH: 2,
-    OP_POP: 2,
-    OP_SUMMARY: 6,
-}
-
-
-def _scan_v1(payload: bytes, checkpoint_every: int):
-    """Skip-scan a v1 payload; returns (strings, candidates, totals).
-
-    Candidates include the implicit start-of-payload checkpoint; every
-    candidate is a record boundary (any record boundary is cut-safe —
-    the snapshot fields fully describe the decoder state there).
-    """
-    from repro.trace.format import unzigzag
-
-    strings: List[str] = []
-    candidates: List[_Candidate] = []
-    pos = 0
-    end = len(payload)
-    last_address = 0
-    next_serial = 0
-    n_records = 0
-    n_events = 0
-    n_accesses = 0
-    since_checkpoint = checkpoint_every  # force a candidate at pos 0
-
-    while pos < end:
-        if since_checkpoint >= checkpoint_every:
-            candidates.append(_Candidate(
-                pos=pos, seg_index=None, n_strings=len(strings),
-                last_address=last_address, next_serial=next_serial,
-                records_before=n_records, events_before=n_events,
-                accesses_before=n_accesses,
-            ))
-            since_checkpoint = 0
-        op = payload[pos]
-        pos += 1
-        if op == OP_ACCESS:
-            delta, pos = read_varint(payload, pos)
-            _, pos = read_varint(payload, pos)
-            last_address += unzigzag(delta)
-            n_accesses += 1
-            n_records += 1
-            since_checkpoint += 1
-        elif op == OP_EVENT:
-            pos = _skip_event(payload, pos)
-            n_events += 1
-            n_records += 1
-            since_checkpoint += 1
-        elif op == OP_STR:
-            length, pos = read_varint(payload, pos)
-            strings.append(payload[pos:pos + length].decode("utf-8"))
-            pos += length
-        elif op in _SKIP_FIELDS:
-            if op == OP_PUSH:
-                next_serial += 1
-            for _ in range(_SKIP_FIELDS[op]):
-                _, pos = read_varint(payload, pos)
-            n_records += 1
-            since_checkpoint += 1
-        else:
-            raise TraceFormatError(f"unknown opcode {op} at offset {pos - 1}")
-
-    totals = {"pos": pos, "n_records": n_records, "n_events": n_events,
-              "n_accesses": n_accesses}
-    return strings, candidates, totals
-
-
-def _candidates_v2(meta: dict):
-    """Segment-index cut candidates for a v2 trace (tail meta only)."""
+def _candidates(meta: dict):
+    """Segment-boundary cut candidates and trace totals from a tail meta."""
     candidates = []
     pos = 0
     entries = meta["segments"]
@@ -221,7 +98,6 @@ def _candidates_v2(meta: dict):
         "pos": pos,
         "n_records": last["snapshot"]["records_before"] + last["n_records"],
         "n_events": last["snapshot"]["events_before"] + last["n_events"],
-        "n_accesses": last["snapshot"]["accesses_before"] + last["n_accesses"],
     }
     return candidates, totals
 
@@ -250,31 +126,31 @@ def _choose_boundaries(candidates: Sequence[_Candidate], total_records: int,
     return chosen
 
 
-def _build_plan(digest: str, version: int, shards: int,
-                candidates: Sequence[_Candidate], totals: dict,
-                strings: Sequence[str]) -> PartitionPlan:
+def plan_partition(meta: dict, shards: int) -> PartitionPlan:
+    """Plan a cut of one trace into up to ``shards`` shards.
+
+    ``meta`` is the trace's tail meta (e.g. from
+    :meth:`repro.trace.store.TraceStore.read_tail_meta`): the scheduler
+    decides shard ranges without inflating a payload byte.  Shards cut
+    only at segment boundaries, so the effective shard count is capped
+    by the segment count.
+    """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
+    candidates, totals = _candidates(meta)
     boundaries = _choose_boundaries(candidates, totals["n_records"], shards)
     starts = [candidates[0]] + boundaries
     specs = []
-    n_segments = 1 + (candidates[-1].seg_index or 0)
     for index, start in enumerate(starts):
         nxt = starts[index + 1] if index + 1 < len(starts) else None
-        uend = nxt.pos if nxt else totals["pos"]
         records_end = nxt.records_before if nxt else totals["n_records"]
         events_end = nxt.events_before if nxt else totals["n_events"]
-        if version == FORMAT_VERSION_V2:
-            seg_start = start.seg_index
-            seg_end = nxt.seg_index if nxt else n_segments
-        else:
-            seg_start = seg_end = None
         specs.append(ShardSpec(
             index=index,
             ustart=start.pos,
-            uend=uend,
-            seg_start=seg_start,
-            seg_end=seg_end,
+            uend=nxt.pos if nxt else totals["pos"],
+            seg_start=start.seg_index,
+            seg_end=nxt.seg_index if nxt else len(candidates),
             n_strings=start.n_strings,
             last_address=start.last_address,
             next_serial=start.next_serial,
@@ -285,59 +161,17 @@ def _build_plan(digest: str, version: int, shards: int,
             n_events=events_end - start.events_before,
         ))
     return PartitionPlan(
-        digest=digest,
-        version=version,
+        digest=meta["digest"],
         requested_shards=shards,
         shards=tuple(specs),
-        strings=tuple(strings),
+        strings=tuple(meta["string_table"]),
         n_records=totals["n_records"],
         n_events=totals["n_events"],
     )
-
-
-def plan_partition(reader: TraceReader, shards: int,
-                   checkpoint_every: int = 4096) -> PartitionPlan:
-    """Plan a cut of an open trace (v1 or v2) into up to ``shards`` shards.
-
-    v2 traces cut only at segment boundaries, so the effective shard
-    count is capped by the segment count; v1 traces cut at scan
-    checkpoints (every ``checkpoint_every`` records), which virtually
-    always yields the requested count.
-    """
-    if reader.version == FORMAT_VERSION_V2:
-        candidates, totals = _candidates_v2(reader.meta)
-        strings = reader.meta["string_table"]
-    else:
-        strings, candidates, totals = _scan_v1(reader.payload, checkpoint_every)
-    if totals["pos"] != len(reader.payload):
-        raise TraceFormatError(
-            f"planner scan consumed {totals['pos']} of "
-            f"{len(reader.payload)} payload bytes"
-        )
-    return _build_plan(reader.digest, reader.version, shards,
-                       candidates, totals, strings)
-
-
-def plan_partition_meta(meta: dict, shards: int) -> PartitionPlan:
-    """Plan from a v2 tail meta alone — no payload read.
-
-    This is the serve-side path: the scheduler seek-reads the tail of a
-    stored trace and decides shard ranges without inflating a byte.
-    Raises :class:`TraceFormatError` for v1 metas (no segment index).
-    """
-    if meta.get("version") != FORMAT_VERSION_V2:
-        raise TraceFormatError(
-            "meta-only planning needs a v2 trace "
-            f"(got version {meta.get('version')!r})"
-        )
-    candidates, totals = _candidates_v2(meta)
-    return _build_plan(meta["digest"], FORMAT_VERSION_V2, shards,
-                       candidates, totals, meta["string_table"])
 
 
 __all__ = [
     "PartitionPlan",
     "ShardSpec",
     "plan_partition",
-    "plan_partition_meta",
 ]

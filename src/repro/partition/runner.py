@@ -33,7 +33,6 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence, Tuple, Union
 
-from repro.trace.format import FORMAT_VERSION_V2, TraceReader
 from repro.trace.store import TraceStore
 from repro.vm.cache import CacheConfig
 from repro.vm.profile import Profile
@@ -41,38 +40,27 @@ from repro.vm.reporting import Reporter
 
 from repro.partition import counters
 from repro.partition.merge import PartitionError, PartitionShardError, settle
-from repro.partition.planner import (
-    PartitionPlan,
-    plan_partition,
-    plan_partition_meta,
-)
+from repro.partition.planner import PartitionPlan, plan_partition
 from repro.partition.shard import DECODE_SHARD_TASK, decode_shard, hooked_kinds
 
 
 def _shard_payloads(plan: PartitionPlan, meta: dict, root: str, path: str,
                     specs: Tuple[str, ...]) -> list:
-    payloads = []
-    for shard in plan.shards:
-        packed = {
+    return [
+        {
             "root": root,
             "path": path,
-            "version": plan.version,
             "index": shard.index,
             "specs": specs,
-            "ustart": shard.ustart,
-            "uend": shard.uend,
             "strings": list(plan.strings[:shard.n_strings]),
             "last_address": shard.last_address,
             "records_before": shard.records_before,
             "events_before": shard.events_before,
             "next_serial": shard.next_serial,
-            "entries": (
-                meta["segments"][shard.seg_start:shard.seg_end]
-                if plan.version == FORMAT_VERSION_V2 else None
-            ),
+            "entries": meta["segments"][shard.seg_start:shard.seg_end],
         }
-        payloads.append(packed)
-    return payloads
+        for shard in plan.shards
+    ]
 
 
 def replay_partitioned(
@@ -83,17 +71,14 @@ def replay_partitioned(
     *,
     pool=None,
     cache_config: Optional[CacheConfig] = None,
-    reader: Optional[TraceReader] = None,
-    checkpoint_every: int = 4096,
 ) -> Tuple[Profile, Reporter, dict]:
     """Partitioned replay of one stored trace through analysis specs.
 
     ``specs`` are :data:`repro.exec.pool.ANALYSIS_SPECS` keys; the
     result is bit-identical to
     ``TraceReplayer(trace).replay([build_analysis(s) for s in specs])``.
-    For v2 traces planning reads only the tail meta and shard decoders
-    range-read only their own segments; a v1 trace is planned from its
-    (verified) payload and each shard re-reads the blob.
+    Planning reads only the tail meta, and each shard decoder
+    range-reads only its own segments.
 
     Returns ``(profile, reporter, stats)`` where ``stats`` records the
     plan shape, decode mode, per-shard settle timings, and wall time.
@@ -104,16 +89,8 @@ def replay_partitioned(
     trace_path = Path(trace_path)
     specs = tuple(specs)
 
-    if reader is not None:
-        plan = plan_partition(reader, shards, checkpoint_every)
-        meta = reader.meta
-    else:
-        meta = store.read_tail_meta(trace_path)
-        if meta.get("version") == FORMAT_VERSION_V2:
-            plan = plan_partition_meta(meta, shards)
-        else:
-            reader = store.open_path(trace_path)
-            plan = plan_partition(reader, shards, checkpoint_every)
+    meta = store.read_tail_meta(trace_path)
+    plan = plan_partition(meta, shards)
 
     counters.bump("plans")
     counters.bump("shards_planned", plan.n_shards)
@@ -177,7 +154,6 @@ def replay_partitioned(
     counters.bump("replays")
     stats = {
         "mode": mode,
-        "version": plan.version,
         "requested_shards": shards,
         "planned_shards": plan.n_shards,
         "records": merge_stats["records"],

@@ -5,8 +5,7 @@ task behind partitioned replay.  Given one :class:`ShardSpec`'s worth of
 plan data it:
 
 1. reads *only this shard's bytes* — per-segment verified range reads
-   for v2 traces (:meth:`repro.trace.store.TraceStore.read_segment`), a
-   whole verified read + slice for v1;
+   (:meth:`repro.trace.store.TraceStore.read_segment`);
 2. decodes them into the replayer's resolved record tuples, seeded from
    the shard snapshot (string-table prefix, last address, running event
    count);
@@ -124,9 +123,9 @@ def decode_slice(
 def decode_shard(packed: dict) -> ShardArtifact:
     """Pool task: read, verify, decode, and filter one shard.
 
-    ``packed`` carries the store root, trace path, format version, the
-    shard's plan fields, its v2 segment entries (or v1 byte range), and
-    the analysis spec tuple for filtering.  Raises whatever the
+    ``packed`` carries the store root, trace path, the shard's plan
+    fields, its segment entries, and the analysis spec tuple for
+    filtering.  Raises whatever the
     verified read raises — a corrupt segment surfaces as
     ``StoreCorruptionError`` from exactly this shard, leaving the other
     shards' work intact.
@@ -138,13 +137,9 @@ def decode_shard(packed: dict) -> ShardArtifact:
 
     store = TraceStore(packed["root"])
     path = packed["path"]
-    if packed["version"] == 2:
-        blob = b"".join(
-            store.read_segment(path, entry) for entry in packed["entries"]
-        )
-    else:
-        reader = store.open_path(path)
-        blob = reader.payload[packed["ustart"]:packed["uend"]]
+    blob = b"".join(
+        store.read_segment(path, entry) for entry in packed["entries"]
+    )
 
     specs = tuple(packed["specs"])
     fire_before, fire_after, needs_shadow = hooked_kinds(specs)

@@ -479,7 +479,7 @@ class AnalysisServer:
         if path is None:
             return None
         try:
-            return TraceReader.read_meta(path)["summary"]["plain_cycles"]
+            return TraceReader.read_tail_meta(path)["summary"]["plain_cycles"]
         except (OSError, KeyError, TraceFormatError):
             return None
 

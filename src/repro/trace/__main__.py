@@ -73,7 +73,7 @@ def _fsck(argv) -> int:
 
 
 def _info(argv) -> int:
-    from repro.trace.format import TraceFormatError, TraceReader
+    from repro.trace.format import FORMAT_VERSION, TraceFormatError, TraceReader
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.trace info",
@@ -94,10 +94,10 @@ def _info(argv) -> int:
         print(f"info: {args.trace}: {exc}", file=sys.stderr)
         return 1
 
-    segments = meta.get("segments") or []
+    segments = meta["segments"]
     report = {
         "path": args.trace,
-        "version": meta.get("version", 1),
+        "version": FORMAT_VERSION,
         "digest": meta.get("digest"),
         "workload": meta.get("workload"),
         "scale": meta.get("scale"),
@@ -123,9 +123,6 @@ def _info(argv) -> int:
           + (f", workload {report['workload']}" if report["workload"] else ""))
     print(f"  digest:   {report['digest']}")
     print(f"  records:  {report['n_records']}")
-    if not segments:
-        print("  segments: none (monolithic v1 payload)")
-        return 0
     print(f"  segments: {len(segments)}")
     header = (f"  {'seg':>4} {'offset':>10} {'clen':>10} {'ulen':>10} "
               f"{'records':>9} {'events':>9}")

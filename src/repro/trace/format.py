@@ -1,24 +1,13 @@
-"""Versioned binary event-trace format (varint records, zlib-framed).
+"""Versioned binary event-trace format (varint records, zlib segments).
 
-v1 file layout::
-
-    +--------------------------------------------------------------+
-    | magic  b"ALDATRC1"                                           |
-    | zlib-compressed record payload                               |
-    | meta   UTF-8 JSON (workload, scale, digest, summary, ...)    |
-    | u32 LE length of the meta JSON                               |
-    | tail magic b"ALDT"                                           |
-    +--------------------------------------------------------------+
-
-v2 (``ALDATRC2``) keeps the same record vocabulary and the same
-whole-payload digest, but frames the payload as independently
-zlib-compressed *segments* cut at frame push/pop and synchronization
-boundaries::
+The container (version 2, magic ``ALDATRC2``) frames one logical record
+payload as independently zlib-compressed *segments* cut at frame
+push/pop and synchronization boundaries::
 
     +--------------------------------------------------------------+
     | magic  b"ALDATRC2"                                           |
     | zlib segment 0 | zlib segment 1 | ...                        |
-    | meta   UTF-8 JSON (... plus "segments" index, string table)  |
+    | meta   UTF-8 JSON (digest, summary, "segments" index, ...)   |
     | u32 LE length of the meta JSON                               |
     | tail magic b"ALDT"                                           |
     +--------------------------------------------------------------+
@@ -32,9 +21,10 @@ live frame stack (serial, tid, caller entry, shadow registers).  A
 segment is therefore decodable (and replayable) standalone: seed the
 decoder from the snapshot, range-read only that segment's bytes, and
 verify them against the per-segment digest.  The concatenation of all
-uncompressed segments is byte-identical to the v1 payload for the same
-execution, so the whole-trace digest (and every digest-keyed cache) is
-format-independent.
+uncompressed segments is the record payload; its digest does not
+depend on where the segments were cut, so neither does any
+digest-keyed cache.  Any other container version (such as the retired
+monolithic version 1) is rejected with :class:`TraceFormatError`.
 
 The payload is a flat stream of records, each an opcode byte followed by
 unsigned LEB128 varints (zigzag for signed fields).  Strings (event
@@ -75,13 +65,11 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import VMError
 
-MAGIC = b"ALDATRC1"
-MAGIC_V2 = b"ALDATRC2"
+MAGIC = b"ALDATRC2"
 TAIL_MAGIC = b"ALDT"
-FORMAT_VERSION = 1
-FORMAT_VERSION_V2 = 2
+FORMAT_VERSION = 2
 
-#: Default uncompressed segment size for v2 writers.  Chosen so the
+#: Default uncompressed segment size for writers.  Chosen so the
 #: largest bundled workloads (~4 MB of payload) land around 16 segments
 #: — enough cut points for 4-way partitioned replay with headroom —
 #: while small workloads stay single-segment.
@@ -170,16 +158,14 @@ def read_varint(buf: bytes, pos: int) -> Tuple[int, int]:
 class TraceWriter:
     """Streaming trace writer: interning, compression, digest.
 
-    Records accumulate in a bytearray and are flushed through one zlib
+    Records accumulate in a bytearray and are flushed through a zlib
     compressor in chunks, so arbitrarily long traces never hold the
-    whole payload in memory.  ``close`` appends the JSON meta block and
-    returns the final meta dict (including the payload digest).
-
-    With ``segment_target_bytes`` set the writer emits the v2 container:
-    records still form one logical payload (same bytes, same digest),
-    but compression restarts at frame/sync boundaries once a segment
-    reaches the target, and each segment's offset, digest, counts, and
-    carried-in decoder snapshot land in the tail index.
+    whole payload in memory.  Compression restarts at frame/sync
+    boundaries once a segment reaches ``segment_target_bytes``
+    (uncompressed), and each segment's offset, digest, counts, and
+    carried-in decoder snapshot land in the tail index.  ``close``
+    appends the JSON meta block and returns the final meta dict
+    (including the payload digest).
     """
 
     _FLUSH_BYTES = 1 << 20
@@ -188,8 +174,10 @@ class TraceWriter:
         self,
         fileobj,
         meta: Optional[dict] = None,
-        segment_target_bytes: Optional[int] = None,
+        segment_target_bytes: int = DEFAULT_SEGMENT_TARGET,
     ) -> None:
+        if segment_target_bytes <= 0:
+            raise ValueError("segment_target_bytes must be positive")
         self._file = fileobj
         self._meta = dict(meta or {})
         self._buf = bytearray()
@@ -206,34 +194,26 @@ class TraceWriter:
         self.n_records = 0
         self._closed = False
         self._seg_target = segment_target_bytes
-        if segment_target_bytes is None:
-            self._file.write(MAGIC)
-        else:
-            if segment_target_bytes <= 0:
-                raise ValueError("segment_target_bytes must be positive")
-            self._file.write(MAGIC_V2)
-            #: serial -> (tid, caller entry or None, shadow regs) for
-            #: live frames — the snapshot a new segment carries in.
-            self._live: Dict[int, Tuple[int, Optional[str], Dict[str, int]]] = {}
-            self._entries: List[dict] = []
-            self._seg_offset = len(MAGIC_V2)
-            self._seg_ulen = 0
-            self._seg_clen = 0
-            self._seg_sha = hashlib.sha256()
-            self._snapshot = self._capture_snapshot()
+        self._file.write(MAGIC)
+        #: serial -> (tid, caller entry or None, shadow regs) for live
+        #: frames — the snapshot a new segment carries in.
+        self._live: Dict[int, Tuple[int, Optional[str], Dict[str, int]]] = {}
+        self._entries: List[dict] = []
+        self._seg_offset = len(MAGIC)
+        self._seg_ulen = 0
+        self._seg_clen = 0
+        self._seg_sha = hashlib.sha256()
+        self._snapshot = self._capture_snapshot()
 
     # -- plumbing ------------------------------------------------------
     def _write_compressed(self, chunk: bytes) -> None:
         self._sha.update(chunk)
-        if self._seg_target is None:
-            self._file.write(self._compress.compress(chunk))
-        else:
-            self._seg_sha.update(chunk)
-            self._seg_ulen += len(chunk)
-            out = self._compress.compress(chunk)
-            if out:
-                self._file.write(out)
-                self._seg_clen += len(out)
+        self._seg_sha.update(chunk)
+        self._seg_ulen += len(chunk)
+        out = self._compress.compress(chunk)
+        if out:
+            self._file.write(out)
+            self._seg_clen += len(out)
 
     def _maybe_flush(self) -> None:
         if len(self._buf) >= self._FLUSH_BYTES:
@@ -341,7 +321,7 @@ class TraceWriter:
         loc: str,
         bt_top: str,
     ) -> None:
-        if self._seg_target is not None and not after:
+        if not after:
             self._maybe_cut(soft=True)
         # Intern order (kind, loc, operand regs, result reg, bt) is part
         # of the byte format: string ids are assigned in first-use order.
@@ -390,7 +370,7 @@ class TraceWriter:
         self.n_records += 1
         if len(buf) >= self._FLUSH_BYTES:
             self._maybe_flush()
-        if self._seg_target is not None and after and kind in SYNC_CUT_KINDS:
+        if after and kind in SYNC_CUT_KINDS:
             self._maybe_cut()
 
     def access(self, address: int, size: int) -> None:
@@ -406,8 +386,7 @@ class TraceWriter:
         _put(self._buf, OP_SET0, serial, self.intern(reg))
         self.n_shadow_ops += 1
         self.n_records += 1
-        if self._seg_target is not None:
-            self._live[serial][2][reg] = 0
+        self._live[serial][2][reg] = 0
 
     def shadow_or2(self, serial: int, dst: str, lhs: Optional[str],
                    rhs: Optional[str]) -> None:
@@ -417,15 +396,14 @@ class TraceWriter:
         _put(self._buf, OP_OR2, serial, dst_id, lhs_id, rhs_id)
         self.n_shadow_ops += 1
         self.n_records += 1
-        if self._seg_target is not None:
-            # Mirror the replayer's shadow semantics so segment
-            # snapshots carry the exact register metadata a monolithic
-            # replay would hold at the cut.
-            shadow = self._live[serial][2]
-            meta = shadow.get(lhs, 0) if lhs is not None else 0
-            if rhs is not None:
-                meta |= shadow.get(rhs, 0)
-            shadow[dst] = meta
+        # Mirror the replayer's shadow semantics so segment snapshots
+        # carry the exact register metadata a monolithic replay would
+        # hold at the cut.
+        shadow = self._live[serial][2]
+        meta = shadow.get(lhs, 0) if lhs is not None else 0
+        if rhs is not None:
+            meta |= shadow.get(rhs, 0)
+        shadow[dst] = meta
 
     def shadow_mov(self, dst_serial: int, dst: str, src_serial: int,
                    src: Optional[str]) -> None:
@@ -434,38 +412,33 @@ class TraceWriter:
         _put(self._buf, OP_MOV, dst_serial, dst_id, src_serial, src_id)
         self.n_shadow_ops += 1
         self.n_records += 1
-        if self._seg_target is not None:
-            value = 0
-            if src is not None:
-                value = self._live[src_serial][2].get(src, 0)
-            self._live[dst_serial][2][dst] = value
+        value = 0
+        if src is not None:
+            value = self._live[src_serial][2].get(src, 0)
+        self._live[dst_serial][2][dst] = value
 
     def shadow_default(self, serial: int, reg: str) -> None:
         _put(self._buf, OP_DEFAULT, serial, self.intern(reg))
         self.n_shadow_ops += 1
         self.n_records += 1
-        if self._seg_target is not None:
-            self._live[serial][2].setdefault(reg, 0)
+        self._live[serial][2].setdefault(reg, 0)
 
     def frame_push(self, tid: int, caller_entry: Optional[str]) -> int:
         """Returns the serial assigned to the pushed frame."""
-        if self._seg_target is not None:
-            self._maybe_cut()
+        self._maybe_cut()
         entry_id = 0 if caller_entry is None else self.intern(caller_entry) + 1
         _put(self._buf, OP_PUSH, tid, entry_id)
         serial = self._next_serial
         self._next_serial += 1
         self.n_records += 1
-        if self._seg_target is not None:
-            self._live[serial] = (tid, caller_entry, {})
+        self._live[serial] = (tid, caller_entry, {})
         return serial
 
     def frame_pop(self, serial: int, tid: int) -> None:
         _put(self._buf, OP_POP, serial, tid)
         self.n_records += 1
-        if self._seg_target is not None:
-            self._live.pop(serial, None)
-            self._maybe_cut()
+        self._live.pop(serial, None)
+        self._maybe_cut()
 
     def summary(self, base_cycles: int, instructions: int, mem_cycles: int,
                 heap_peak_bytes: int) -> None:
@@ -490,24 +463,14 @@ class TraceWriter:
     def close(self) -> dict:
         if self._closed:
             return self._meta
-        if self._seg_target is None:
-            chunk = bytes(self._buf)
-            self._sha.update(chunk)
-            self._file.write(self._compress.compress(chunk))
-            self._file.write(self._compress.flush())
-            self._buf.clear()
-            self._meta.update(version=FORMAT_VERSION)
-        else:
-            if self._buf or self._seg_ulen or not self._entries:
-                self._finalize_segment()
-            self._meta.update(
-                version=FORMAT_VERSION_V2,
-                segments=self._entries,
-                # Keys in insertion order == intern-id order: segment
-                # decoders seed their table with the first ``n_strings``.
-                string_table=list(self._strings),
-            )
+        if self._buf or self._seg_ulen or not self._entries:
+            self._finalize_segment()
         self._meta.update(
+            version=FORMAT_VERSION,
+            segments=self._entries,
+            # Keys in insertion order == intern-id order: segment
+            # decoders seed their table with the first ``n_strings``.
+            string_table=list(self._strings),
             digest=self._sha.hexdigest(),
             n_events=self.n_events,
             n_accesses=self.n_accesses,
@@ -526,32 +489,33 @@ class TraceWriter:
 # ----------------------------------------------------------------------
 # reader
 # ----------------------------------------------------------------------
-def _magic_version(head: bytes) -> int:
-    """Map the 8-byte head magic to a container version (or raise)."""
+def _check_magic(head: bytes) -> None:
+    """Reject any 8-byte head but the supported container's magic."""
     if head.startswith(MAGIC):
-        return FORMAT_VERSION
-    if head.startswith(MAGIC_V2):
-        return FORMAT_VERSION_V2
+        return
     if head.startswith(b"ALDATRC"):
         raise TraceFormatError(
             f"unsupported trace container version {head[7:8].decode('ascii', 'replace')!r} "
-            f"(supported: 1, 2)"
+            f"(supported: {FORMAT_VERSION})"
         )
     raise TraceFormatError("not an ALDA trace (bad magic)")
 
 
-def _check_meta_version(meta: dict, container_version: int) -> None:
+def _check_meta(meta: dict) -> None:
     version = meta.get("version")
-    if version != container_version:
+    if version != FORMAT_VERSION:
         raise TraceFormatError(
             f"unsupported trace version {version!r} "
-            f"(container magic says {container_version})"
+            f"(container magic says {FORMAT_VERSION})"
         )
+    entries = meta.get("segments")
+    if not isinstance(entries, list) or not entries:
+        raise TraceFormatError("trace has no segment index")
 
 
-def _split_trace(data: bytes) -> Tuple[dict, int, int]:
-    """Validate framing; return (meta dict, payload end offset, version)."""
-    container_version = _magic_version(data[:8])
+def _split_trace(data: bytes) -> Tuple[dict, int]:
+    """Validate framing; return (meta dict, payload end offset)."""
+    _check_magic(data[:8])
     if not data.endswith(TAIL_MAGIC):
         raise TraceFormatError("truncated trace (bad tail magic)")
     meta_len = struct.unpack("<I", data[-8:-4])[0]
@@ -563,12 +527,12 @@ def _split_trace(data: bytes) -> Tuple[dict, int, int]:
         meta = json.loads(data[meta_start:meta_end].decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
         raise TraceFormatError(f"corrupt trace meta block: {exc}") from None
-    _check_meta_version(meta, container_version)
-    return meta, meta_start, container_version
+    _check_meta(meta)
+    return meta, meta_start
 
 
 def decompress_segment(blob: bytes, entry: dict) -> bytes:
-    """Decompress one v2 segment's byte range and verify it.
+    """Decompress one segment's byte range and verify it.
 
     ``blob`` is exactly ``entry["clen"]`` bytes read from the segment's
     file offset.  Raises :class:`TraceFormatError` when the bytes do not
@@ -597,42 +561,33 @@ def decompress_segment(blob: bytes, entry: dict) -> bytes:
 class TraceReader:
     """Reads one trace: meta block plus the decompressed payload.
 
-    The payload is exposed as raw bytes (``payload``) for the replayer's
-    tight decode loop, and as a generic :meth:`records` iterator for
-    tools and tests.
+    The payload (every segment, verified and concatenated) is exposed
+    as raw bytes (``payload``) for the replayer's tight decode loop, and
+    as a generic :meth:`records` iterator for tools and tests.
     """
 
     def __init__(self, data: bytes) -> None:
-        self.meta, meta_start, self.version = _split_trace(data)
-        if self.version == FORMAT_VERSION:
-            try:
-                self.payload = zlib.decompress(data[len(MAGIC):meta_start])
-            except zlib.error as exc:
-                raise TraceFormatError(f"corrupt trace payload: {exc}") from None
-        else:
-            entries = self.meta.get("segments")
-            if not isinstance(entries, list) or not entries:
-                raise TraceFormatError("v2 trace has no segment index")
-            parts = []
-            position = len(MAGIC_V2)
-            for index, entry in enumerate(entries):
-                if entry["offset"] != position:
-                    raise TraceFormatError(
-                        f"segment {index} offset {entry['offset']} does not "
-                        f"follow previous segment (expected {position})"
-                    )
-                blob = data[entry["offset"]:entry["offset"] + entry["clen"]]
-                try:
-                    parts.append(decompress_segment(blob, entry))
-                except TraceFormatError as exc:
-                    raise TraceFormatError(f"segment {index}: {exc}") from None
-                position += entry["clen"]
-            if position != meta_start:
+        self.meta, meta_start = _split_trace(data)
+        parts = []
+        position = len(MAGIC)
+        for index, entry in enumerate(self.meta["segments"]):
+            if entry["offset"] != position:
                 raise TraceFormatError(
-                    "segment index does not span the payload "
-                    f"(ends at {position}, payload ends at {meta_start})"
+                    f"segment {index} offset {entry['offset']} does not "
+                    f"follow previous segment (expected {position})"
                 )
-            self.payload = b"".join(parts)
+            blob = data[entry["offset"]:entry["offset"] + entry["clen"]]
+            try:
+                parts.append(decompress_segment(blob, entry))
+            except TraceFormatError as exc:
+                raise TraceFormatError(f"segment {index}: {exc}") from None
+            position += entry["clen"]
+        if position != meta_start:
+            raise TraceFormatError(
+                "segment index does not span the payload "
+                f"(ends at {position}, payload ends at {meta_start})"
+            )
+        self.payload = b"".join(parts)
 
     @classmethod
     def from_file(cls, path) -> "TraceReader":
@@ -640,28 +595,16 @@ class TraceReader:
             return cls(handle.read())
 
     @staticmethod
-    def read_meta(path) -> dict:
-        """Parse only the tail meta block of a trace file.
-
-        Skips payload decompression entirely — the cheap path for
-        callers that need the digest or cost summary (e.g. the serve
-        daemon answering a digest-only request) but not the records.
-        """
-        with open(path, "rb") as handle:
-            data = handle.read()
-        return _split_trace(data)[0]
-
-    @staticmethod
     def read_tail_meta(path) -> dict:
         """Read the meta block with seeks only (head + tail of the file).
 
-        Unlike :meth:`read_meta` this never loads the payload bytes, so
-        it stays cheap on multi-megabyte traces — the entry point for
-        segment range reads (the meta carries the segment index).
+        Never loads the payload bytes, so it stays cheap on
+        multi-megabyte traces — the entry point for callers that need
+        the digest or cost summary, and for segment range reads (the
+        meta carries the segment index).
         """
         with open(path, "rb") as handle:
-            head = handle.read(8)
-            container_version = _magic_version(head)
+            _check_magic(handle.read(8))
             handle.seek(0, 2)
             size = handle.tell()
             if size < 16:
@@ -680,7 +623,7 @@ class TraceReader:
             meta = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, ValueError) as exc:
             raise TraceFormatError(f"corrupt trace meta block: {exc}") from None
-        _check_meta_version(meta, container_version)
+        _check_meta(meta)
         return meta
 
     @property
@@ -692,22 +635,16 @@ class TraceReader:
         return self.meta["summary"]
 
     @property
-    def segments(self) -> Optional[List[dict]]:
-        """The v2 segment index, or ``None`` for a v1 trace."""
-        return self.meta.get("segments")
+    def segments(self) -> List[dict]:
+        """The segment index from the tail meta."""
+        return self.meta["segments"]
 
     def verify(self) -> bool:
         """Recompute the payload digest and compare with the meta block."""
         return hashlib.sha256(self.payload).hexdigest() == self.meta["digest"]
 
     def verify_segments(self) -> List[int]:
-        """Re-verify each v2 segment digest; returns failing indices.
-
-        For v1 traces falls back to the whole-payload check (index 0
-        stands for "the single implicit segment").
-        """
-        if self.version == FORMAT_VERSION:
-            return [] if self.verify() else [0]
+        """Re-verify each segment digest; returns failing indices."""
         bad = []
         position = 0
         for index, entry in enumerate(self.meta["segments"]):

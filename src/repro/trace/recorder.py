@@ -38,7 +38,7 @@ from repro.vm.interpreter import Interpreter
 from repro.vm.profile import Profile
 from repro.workloads.base import Workload
 
-from repro.trace.format import TraceWriter
+from repro.trace.format import DEFAULT_SEGMENT_TARGET, TraceWriter
 
 #: Interpreter-level pseudo-calls that fire ``func:`` events without
 #: being module functions or libc builtins.
@@ -158,7 +158,7 @@ def record_workload(
     fileobj,
     meta: Optional[dict] = None,
     backend: str = "compiled",
-    segment_target_bytes: Optional[int] = None,
+    segment_target_bytes: int = DEFAULT_SEGMENT_TARGET,
 ) -> dict:
     """Record one workload execution into ``fileobj``; returns trace meta.
 
@@ -172,9 +172,9 @@ def record_workload(
     backend's general paths, so every access and event is captured in
     the same order).
 
-    ``segment_target_bytes`` selects the v2 segmented container (see
-    :mod:`repro.trace.format`); the payload bytes and digest are
-    identical either way, only the framing changes.
+    ``segment_target_bytes`` is the uncompressed size at which the
+    writer starts a new segment (see :mod:`repro.trace.format`); it
+    moves the cuts but never the payload bytes or the digest.
     """
     full_meta = {"workload": workload.name, "scale": scale}
     full_meta.update(meta or {})

@@ -255,23 +255,24 @@ class TraceStore:
         self,
         workload: Workload,
         scale: int = 1,
-        segment_target_bytes: Optional[int] = DEFAULT_SEGMENT_TARGET,
+        segment_target_bytes: int = DEFAULT_SEGMENT_TARGET,
         backend: str = "compiled",
     ) -> TraceReader:
         """Open the cached trace for (workload, scale), recording on miss.
 
-        New recordings use the v2 segmented container by default
-        (``segment_target_bytes=None`` selects v1); cached traces of
-        either version are served as-is, since payload bytes and digest
-        are format-independent.  ``backend`` picks the recording VM
+        ``segment_target_bytes`` sets where new recordings cut their
+        segments; it moves no payload byte and no digest, so it is not
+        part of the cache key.  ``backend`` picks the recording VM
         backend; all backends produce byte-identical traces
         (``tests/vm/test_backends.py``), so it never affects the cache
-        key.
+        key either.
 
-        A cached trace that fails its integrity check is quarantined
-        and re-recorded in place — local corruption self-heals.  Only a
-        corrupt *re-recording* (e.g. an injected partial write firing
-        every time) escapes as :class:`StoreCorruptionError`.
+        A cached trace that fails its integrity check — including one
+        in an unsupported container version, such as a version-1 file
+        left by an older release — is quarantined and re-recorded in
+        place, so local corruption self-heals.  Only a corrupt
+        *re-recording* (e.g. an injected partial write firing every
+        time) escapes as :class:`StoreCorruptionError`.
         """
         digest = module_digest(workload, scale)
         path = self.trace_path(workload, scale, digest)
@@ -294,16 +295,15 @@ class TraceStore:
         """Open an arbitrary trace file in this store with verification.
 
         The public face of the verified-read path for callers that hold
-        a path (e.g. partition shard decoders slicing a v1 trace):
-        digest-checked, quarantining, :class:`StoreCorruptionError` on
-        failure.
+        a path: digest-checked, quarantining,
+        :class:`StoreCorruptionError` on failure.
         """
         return self._read_trace_verified(Path(path))
 
     def read_tail_meta(self, path) -> dict:
         """Seek-read just the tail meta of a trace file (no payload IO).
 
-        The cheap entry point for segment planning: the v2 meta carries
+        The cheap entry point for segment planning: the meta carries
         the full segment index.  Framing errors quarantine the entry
         like any other failed read.
         """
@@ -316,7 +316,7 @@ class TraceStore:
             raise StoreCorruptionError(path, str(exc)) from None
 
     def read_segment(self, path, entry: dict) -> bytes:
-        """Range-read one v2 segment and verify its own digest.
+        """Range-read one segment and verify its own digest.
 
         Reads exactly ``entry["clen"]`` bytes at ``entry["offset"]`` and
         checks them against the per-segment SHA-256 from the tail index

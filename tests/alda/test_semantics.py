@@ -206,6 +206,15 @@ class TestMethods:
             onX(pointer p, int64 s, threadid t) { m.set(p, m[p], s); }
             """)
 
+    def test_range_get_on_set_value_rejected(self):
+        with pytest.raises(AldaTypeError, match="range map.get is only defined"):
+            check("""
+            address := pointer
+            lid := lockid : 256
+            s = map(address, set(lid))
+            onX(pointer p, int64 n) { alda_assert(s.get(p, n), 0); }
+            """)
+
     def test_map_set_value_type_checked(self):
         with pytest.raises(AldaTypeError, match="map.set value"):
             check("""

@@ -8,9 +8,9 @@ keep the sweep affordable each (workload, spec) cell replays
 partitioned at one shard count, rotating through 1/2/4 across the spec
 axis so every workload is exercised at every shard count; dedicated
 sweeps then run all shard counts on representative traces (the largest
-multi-segment trace, a small few-segment one, and a v1 scan-planned
-one).  Backend coverage rides on byte-identical recording: both VM
-backends must produce the same v2 container, so one replay covers both.
+multi-segment trace and a small few-segment one).  Backend coverage
+rides on byte-identical recording: both VM backends must produce the
+same trace container, so one replay covers both.
 """
 
 import dataclasses
@@ -21,7 +21,6 @@ import pytest
 from repro.exec.pool import ANALYSIS_SPECS, build_analysis
 from repro.trace import record_workload
 from repro.trace.replayer import TraceReplayer
-from repro.trace.store import TraceStore
 from repro.workloads import ALL
 
 from repro.partition import replay_partitioned
@@ -77,24 +76,8 @@ def test_small_trace_all_shard_counts(recorded, part_store, shards):
         assert reports == expected[1]
 
 
-@pytest.mark.parametrize("shards", [2, 4])
-def test_v1_trace_all_shard_counts(tmp_path, shards):
-    """A v1 (monolithic container) trace, planned by payload scan."""
-    store = TraceStore(tmp_path / "v1")
-    store.get_or_record(ALL["radix"], 1, segment_target_bytes=None)
-    path = store.trace_path(ALL["radix"], 1)
-    for spec in ("uaf.alda", "eraser.handtuned"):
-        expected = _mono(store, path, spec)
-        profile, reporter, stats = replay_partitioned(
-            store, path, [spec], shards, checkpoint_every=512
-        )
-        assert dataclasses.asdict(profile) == expected[0]
-        assert list(reporter) == expected[1]
-        assert stats["version"] == 1
-
-
 def test_v2_recording_identical_across_backends():
-    """Both VM backends must emit byte-identical v2 containers — which
+    """Both VM backends must emit byte-identical containers — which
     makes every differential result above backend-independent."""
     streams = {}
     for backend in ("reference", "compiled"):
@@ -103,17 +86,3 @@ def test_v2_recording_identical_across_backends():
                         segment_target_bytes=64 * 1024)
         streams[backend] = buffer.getvalue()
     assert streams["reference"] == streams["compiled"]
-
-
-def test_v1_and_v2_plans_replay_identically(recorded, part_store, tmp_path):
-    """Same execution, two container versions, one answer."""
-    v2_path = recorded("radix")
-    store = TraceStore(tmp_path / "v1")
-    store.get_or_record(ALL["radix"], 1, segment_target_bytes=None)
-    v1_path = store.trace_path(ALL["radix"], 1)
-    v2 = _partitioned(part_store, v2_path, "eraser.full", 2)
-    v1_profile, v1_reporter, _ = replay_partitioned(
-        store, v1_path, ["eraser.full"], 2, checkpoint_every=512
-    )
-    assert dataclasses.asdict(v1_profile) == v2[0]
-    assert list(v1_reporter) == v2[1]

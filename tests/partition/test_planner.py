@@ -9,15 +9,11 @@ state at its start — the decode correctness proof in
 
 import pytest
 
-from repro.trace.format import (
-    DEFAULT_SEGMENT_TARGET,
-    FORMAT_VERSION_V2,
-    TraceFormatError,
-)
-from repro.trace.store import TraceStore
-from repro.workloads import ALL
+from repro.trace.format import DEFAULT_SEGMENT_TARGET
+from repro.trace.store import StoreCorruptionError
 
-from repro.partition.planner import plan_partition, plan_partition_meta
+from repro.partition import replay_partitioned
+from repro.partition.planner import plan_partition
 
 
 def _check_tiling(plan, payload_len):
@@ -35,11 +31,10 @@ def _check_tiling(plan, payload_len):
 def test_v2_plan_tiles_payload(recorded, part_store, shards):
     path = recorded("sort")
     reader = part_store.open_path(path)
-    plan = plan_partition(reader, shards)
-    assert plan.version == FORMAT_VERSION_V2
+    plan = plan_partition(reader.meta, shards)
     assert 1 <= plan.n_shards <= shards
     _check_tiling(plan, len(reader.payload))
-    # v2 shards slice the segment index contiguously
+    # shards slice the segment index contiguously
     assert plan.shards[0].seg_start == 0
     for left, right in zip(plan.shards, plan.shards[1:]):
         assert left.seg_end == right.seg_start
@@ -48,7 +43,7 @@ def test_v2_plan_tiles_payload(recorded, part_store, shards):
 
 def test_v2_plan_balances_records(recorded, part_store):
     reader = part_store.open_path(recorded("sort"))
-    plan = plan_partition(reader, 4)
+    plan = plan_partition(reader.meta, 4)
     assert plan.n_shards == 4
     counts = [s.n_records for s in plan.shards]
     # Cuts land on segment boundaries, so perfection is impossible, but
@@ -58,63 +53,39 @@ def test_v2_plan_balances_records(recorded, part_store):
 
 def test_v2_shard_count_capped_by_segments(recorded, part_store):
     reader = part_store.open_path(recorded("fft"))  # small: few segments
-    plan = plan_partition(reader, 64)
+    plan = plan_partition(reader.meta, 64)
     assert plan.n_shards == len(reader.segments)
-
-
-def test_v1_plan_tiles_payload(part_store, tmp_path):
-    store = TraceStore(tmp_path / "v1")
-    store.get_or_record(ALL["fft"], 1, segment_target_bytes=None)
-    reader = store.open_path(store.trace_path(ALL["fft"], 1))
-    assert reader.segments is None
-    plan = plan_partition(reader, 4, checkpoint_every=1024)
-    assert plan.version == 1
-    assert plan.n_shards == 4
-    _check_tiling(plan, len(reader.payload))
-    assert all(s.seg_start is None and s.seg_end is None for s in plan.shards)
-
-
-def test_v1_scan_recovers_string_table(part_store, tmp_path):
-    store = TraceStore(tmp_path / "v1")
-    store.get_or_record(ALL["fft"], 1, segment_target_bytes=None)
-    v1 = plan_partition(store.open_path(store.trace_path(ALL["fft"], 1)), 2)
-    v2_reader = part_store.open_path(
-        _record_into(part_store, "fft")
-    )
-    v2 = plan_partition(v2_reader, 2)
-    # Same execution, same interning order: identical final tables.
-    assert v1.strings == v2.strings
-    assert v1.n_records == v2.n_records
-    assert v1.n_events == v2.n_events
-
-
-def _record_into(store, name):
-    store.get_or_record(ALL[name], 1)
-    return store.trace_path(ALL[name], 1)
 
 
 def test_meta_only_planning_matches_full_plan(recorded, part_store):
     path = recorded("sort")
     reader = part_store.open_path(path)
-    full = plan_partition(reader, 4)
-    from_meta = plan_partition_meta(part_store.read_tail_meta(path), 4)
+    full = plan_partition(reader.meta, 4)
+    from_meta = plan_partition(part_store.read_tail_meta(path), 4)
     assert from_meta == full
 
 
-def test_meta_only_planning_rejects_v1():
-    with pytest.raises(TraceFormatError, match="v2"):
-        plan_partition_meta({"version": 1, "digest": "0" * 64}, 2)
+def test_meta_only_planning_rejects_v1(recorded, part_store, tmp_path):
+    """A version-1 file has no segment index to plan from: the tail read
+    that feeds the planner refuses it and quarantines the entry."""
+    store_dir = tmp_path / "v1"
+    path = store_dir / "old.trace"
+    store_dir.mkdir()
+    path.write_bytes(b"ALDATRC1" + recorded("fft").read_bytes()[8:])
+    with pytest.raises(StoreCorruptionError, match="container version '1'"):
+        replay_partitioned(store_dir, path, ["uaf.alda"], 2)
+    assert not path.exists()
 
 
 def test_zero_shards_rejected(recorded, part_store):
     reader = part_store.open_path(recorded("fft"))
     with pytest.raises(ValueError, match="shards"):
-        plan_partition(reader, 0)
+        plan_partition(reader.meta, 0)
 
 
 def test_single_shard_is_whole_trace(recorded, part_store):
     reader = part_store.open_path(recorded("fft"))
-    plan = plan_partition(reader, 1)
+    plan = plan_partition(reader.meta, 1)
     assert plan.n_shards == 1
     shard = plan.shards[0]
     assert (shard.ustart, shard.uend) == (0, len(reader.payload))

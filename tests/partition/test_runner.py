@@ -6,10 +6,7 @@ import pytest
 
 from repro.exec.pool import JobSpec, build_analysis, run_batch
 from repro.exec.workers import PersistentWorkerPool
-from repro.trace.format import FORMAT_VERSION_V2
 from repro.trace.replayer import TraceReplayer
-from repro.trace.store import TraceStore
-from repro.workloads import ALL
 
 from repro.partition import partition_stats, replay_partitioned
 
@@ -38,7 +35,6 @@ def test_stats_shape(recorded, part_store):
         part_store, path, ["uaf.alda"], 2
     )
     assert stats["mode"] == "inline"
-    assert stats["version"] == FORMAT_VERSION_V2
     assert stats["requested_shards"] == 2
     assert len(stats["per_shard"]) == stats["planned_shards"]
     for row in stats["per_shard"]:
@@ -74,18 +70,6 @@ def test_multiple_specs_one_pass(recorded, part_store):
     )
     assert dataclasses.asdict(part_profile) == dataclasses.asdict(profile)
     assert list(part_reporter) == list(reporter)
-
-
-def test_v1_trace_partitions(tmp_path):
-    store = TraceStore(tmp_path / "v1")
-    store.get_or_record(ALL["fft"], 1, segment_target_bytes=None)
-    path = store.trace_path(ALL["fft"], 1)
-    expected = _mono(store, path, "eraser.full")
-    profile, reporter, stats = replay_partitioned(
-        store, path, ["eraser.full"], 2, checkpoint_every=1024
-    )
-    assert (dataclasses.asdict(profile), list(reporter)) == expected
-    assert stats["version"] == 1
 
 
 def test_store_accepts_path_string(recorded, part_store):

@@ -8,11 +8,13 @@ import json
 import socket
 import struct
 import time
+import zlib
 
 import pytest
 
 from repro.serve import protocol
 from repro.serve.client import RequestFailed, ServeClient
+from repro.trace.format import TraceReader
 
 from tests.serve.conftest import crash_in_worker_builder, needs_fork
 
@@ -107,12 +109,18 @@ def test_unknown_analysis_key(make_server, fft_trace):
 
 
 def test_corrupt_trace_bytes_rejected(make_server, fft_trace):
-    _digest, blob, _plain = fft_trace
+    digest, blob, _plain = fft_trace
+    # a well-formed trace in the retired version-1 container
+    meta = json.dumps({"version": 1, "digest": digest}).encode()
+    v1 = (b"ALDATRC1" + zlib.compress(TraceReader(blob).payload) + meta
+          + struct.pack("<I", len(meta)) + b"ALDT")
     handle = make_server()
     with ServeClient(handle.address) as client:
-        with pytest.raises(RequestFailed) as exc_info:
-            client.submit("eraser.full", trace_bytes=b"ALDATRC1" + b"\x00" * 64)
-        assert exc_info.value.code == "BAD_TRACE"
+        for trace_bytes in (b"ALDATRC1" + b"\x00" * 64, v1):
+            with pytest.raises(RequestFailed) as exc_info:
+                client.submit("eraser.full", trace_bytes=trace_bytes)
+            assert exc_info.value.code == "BAD_TRACE"
+            assert "version '1'" in str(exc_info.value)
         # bit-flip inside the payload: digest verification catches it
         corrupt = bytearray(blob)
         corrupt[len(corrupt) // 2] ^= 0xFF

@@ -25,12 +25,15 @@ GOLDEN = {
 
 @pytest.fixture(scope="session")
 def golden_traces():
-    """name -> (v1 container bytes, v2 container bytes), recorded once."""
+    """name -> trace container bytes, recorded once.
+
+    A 4 KiB segment target cuts every trace into many segments, so the
+    tests read across segment boundaries.
+    """
     traces = {}
     for name in GOLDEN:
         workload = synthetic_workload(CALL_HEAVY) if name == "call-heavy" else ALL[name]
-        v1, v2 = io.BytesIO(), io.BytesIO()
-        record_workload(workload, 1, v1)
-        record_workload(workload, 1, v2, segment_target_bytes=4096)
-        traces[name] = (v1.getvalue(), v2.getvalue())
+        sink = io.BytesIO()
+        record_workload(workload, 1, sink, segment_target_bytes=4096)
+        traces[name] = sink.getvalue()
     return traces

@@ -18,6 +18,8 @@ import pytest
 from repro.baselines import HandTunedEraser
 from repro.partition.shard import decode_slice
 from repro.trace.format import (
+    DEFAULT_SEGMENT_TARGET,
+    FORMAT_VERSION,
     MAGIC,
     OP_ACCESS,
     OP_DEFAULT,
@@ -71,13 +73,24 @@ def _expected(reference):
     return out
 
 
-def _v1_container(payload):
-    """A v1 trace around an arbitrary (possibly malformed) payload."""
+def _container(payload, string_table=()):
+    """A single-segment trace around an arbitrary (possibly malformed)
+    payload.  ``string_table`` lists the strings the payload interns;
+    decoders rebuild the table from its ``OP_STR`` records."""
+    blob = zlib.compress(payload)
+    digest = hashlib.sha256(payload).hexdigest()
+    snapshot = {"n_strings": 0, "last_address": 0, "next_serial": 0,
+                "records_before": 0, "events_before": 0,
+                "accesses_before": 0, "frames": []}
     meta = json.dumps({
-        "version": 1, "digest": hashlib.sha256(payload).hexdigest(),
+        "version": FORMAT_VERSION, "digest": digest,
+        "segments": [{"offset": len(MAGIC), "clen": len(blob),
+                      "ulen": len(payload), "sha256": digest,
+                      "n_records": 0, "n_events": 0, "n_accesses": 0,
+                      "snapshot": snapshot}],
+        "string_table": list(string_table),
     }).encode("utf-8")
-    return (MAGIC + zlib.compress(payload) + meta
-            + struct.pack("<I", len(meta)) + TAIL_MAGIC)
+    return MAGIC + blob + meta + struct.pack("<I", len(meta)) + TAIL_MAGIC
 
 
 # ----------------------------------------------------------------------
@@ -85,17 +98,16 @@ def _v1_container(payload):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_decoder_matches_reference(golden_traces, name):
-    v1, v2 = golden_traces[name]
-    reader = TraceReader(v1)
+    data = golden_traces[name]
+    reader = TraceReader(data)
     expected = _expected(reader.records())
     assert decode(reader.payload)[0] == expected
-    # v1 and v2 containers of one run decode equal
-    assert TraceReplayer(v1).records == TraceReplayer(v2).records == expected
+    assert TraceReplayer(data).records == expected
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_decode_slice_matches_reference(golden_traces, name):
-    reader = TraceReader(golden_traces[name][0])
+    reader = TraceReader(golden_traces[name])
     expected = _expected(reader.records())
     artifact = decode_slice(reader.payload)
     seqs = []
@@ -110,7 +122,7 @@ def test_decode_slice_matches_reference(golden_traces, name):
     assert artifact.saw_summary and artifact.n_filtered == 0
 
 
-def _wide_trace(segment_target_bytes=None):
+def _wide_trace(segment_target_bytes=DEFAULT_SEGMENT_TARGET):
     """A writer-driven trace with a multi-byte varint in every field."""
     sink = io.BytesIO()
     writer = TraceWriter(sink, {"workload": "unit", "scale": 1},
@@ -144,16 +156,17 @@ def _wide_trace(segment_target_bytes=None):
 
 
 def test_decoder_matches_reference_on_wide_fields():
-    v1, v2 = _wide_trace(), _wide_trace(segment_target_bytes=64)
-    reader = TraceReader(v1)
-    assert TraceReader(v2).digest == reader.digest
+    whole, cut = _wide_trace(), _wide_trace(segment_target_bytes=64)
+    reader = TraceReader(whole)
+    assert len(reader.segments) == 1 and len(TraceReader(cut).segments) > 1
+    assert TraceReader(cut).digest == reader.digest
     expected = _expected(reader.records())
     events = [rec for rec in expected if rec[0] == R_EVENT]
     assert events[0][5][-3:] == (2**64 + 5, -(2**70), 2**100)
     assert events[0][6] == -(2**65) and events[0][12] == "caller:7"
     assert events[2][12] == "wide.c:2"  # no backtrace entry recorded
     assert decode(reader.payload)[0] == expected
-    assert TraceReplayer(v1).records == TraceReplayer(v2).records == expected
+    assert TraceReplayer(whole).records == TraceReplayer(cut).records == expected
     sliced = decode_slice(reader.payload).records
     assert [rec[:13] for rec in sliced if rec[0] == R_EVENT] == events
 
@@ -176,11 +189,13 @@ def test_decode_slice_filters_and_seeds():
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def memcached_payload(golden_traces):
-    return TraceReader(golden_traces["memcached"][0]).payload
+    return TraceReader(golden_traces["memcached"]).payload
 
 
 def test_truncated_payload_raises_typed_error(memcached_payload):
     payload = memcached_payload
+    # the wrapper itself is a valid container: only the cuts below fail
+    assert TraceReader(_container(payload)).verify()
     cuts = list(range(1, len(payload), len(payload) // 37)) + [len(payload) - 1]
     raised = 0
     for cut in cuts:
@@ -193,10 +208,10 @@ def test_truncated_payload_raises_typed_error(memcached_payload):
         else:  # the cut fell on a record boundary
             assert not artifact.saw_summary
         with pytest.raises(TraceFormatError):
-            TraceReplayer(_v1_container(head)).replay([HandTunedEraser])
+            TraceReplayer(_container(head)).replay([HandTunedEraser])
     assert raised > len(cuts) // 2
     with pytest.raises(TraceFormatError, match="offset"):
-        TraceReplayer(_v1_container(payload[:-1])).records  # mid-summary
+        TraceReplayer(_container(payload[:-1])).records  # mid-summary
 
 
 def _event(kind_id=0, loc_id=0, reg_id=0, bt_id=None):
@@ -218,7 +233,7 @@ def test_undefined_string_id_raises_typed_error(event):
     with pytest.raises(TraceFormatError, match="offset 3"):
         decode_slice(payload)
     with pytest.raises(TraceFormatError, match="offset 3"):
-        TraceReplayer(_v1_container(payload)).records
+        TraceReplayer(_container(payload, ["x"])).records
 
 
 def test_well_formed_event_with_string_ids_decodes():

@@ -1,17 +1,19 @@
 """Error paths in the trace container: every malformed input must raise
-a typed :class:`TraceFormatError` (never a wrong decode), for both the
-v1 monolithic and v2 segmented containers.
+a typed :class:`TraceFormatError` (never a wrong decode), whether the
+damage is in the framing, the meta block, the segment index, or a
+segment.
 """
 
 import io
 import json
 import struct
+import zlib
 
 import pytest
 
 from repro.trace.format import (
+    DEFAULT_SEGMENT_TARGET,
     MAGIC,
-    MAGIC_V2,
     TAIL_MAGIC,
     TraceFormatError,
     TraceReader,
@@ -19,7 +21,7 @@ from repro.trace.format import (
 )
 
 
-def _sample(segment_target_bytes=None):
+def _sample(segment_target_bytes=DEFAULT_SEGMENT_TARGET):
     sink = io.BytesIO()
     writer = TraceWriter(sink, {"workload": "unit", "scale": 1},
                          segment_target_bytes=segment_target_bytes)
@@ -36,6 +38,7 @@ def _sample(segment_target_bytes=None):
 
 
 def _sample_v2():
+    """A sample cut into one segment per frame."""
     data = _sample(segment_target_bytes=1)
     reader = TraceReader(data)
     assert len(reader.segments) >= 2, "need a multi-segment sample"
@@ -49,6 +52,20 @@ def test_unknown_container_version_rejected():
     data = _sample()
     with pytest.raises(TraceFormatError, match="unsupported trace container"):
         TraceReader(b"ALDATRC3" + data[len(MAGIC):])
+
+
+def test_v1_container_rejected(tmp_path):
+    """The retired monolithic container: magic, one zlib stream, meta."""
+    reader = TraceReader(_sample())
+    meta = json.dumps({"version": 1, "digest": reader.digest}).encode()
+    data = (b"ALDATRC1" + zlib.compress(reader.payload) + meta
+            + struct.pack("<I", len(meta)) + TAIL_MAGIC)
+    with pytest.raises(TraceFormatError, match="container version '1'"):
+        TraceReader(data)
+    path = tmp_path / "v1.trace"
+    path.write_bytes(data)
+    with pytest.raises(TraceFormatError, match="container version '1'"):
+        TraceReader.read_tail_meta(path)
 
 
 def test_unknown_container_version_in_tail_meta(tmp_path):
@@ -85,7 +102,7 @@ def test_bad_tail_magic_rejected_by_tail_reader(tmp_path):
 
 def test_tail_reader_rejects_too_short_file(tmp_path):
     path = tmp_path / "stub.trace"
-    path.write_bytes(MAGIC_V2 + b"\x00" * 4)
+    path.write_bytes(MAGIC + b"\x00" * 4)
     with pytest.raises(TraceFormatError, match="too short"):
         TraceReader.read_tail_meta(path)
 
@@ -121,16 +138,16 @@ def test_meta_version_must_match_container_magic():
 # ------------------------------------------------------------- payloads
 
 
-def test_truncated_v1_payload_rejected():
+def test_truncated_payload_rejected():
     data = _sample()
     with pytest.raises(TraceFormatError):
         TraceReader(data[: len(data) // 2])
 
 
-def test_corrupt_v1_payload_rejected():
+def test_corrupt_payload_rejected():
     data = bytearray(_sample())
     data[len(MAGIC) + 4] ^= 0xFF
-    with pytest.raises(TraceFormatError, match="corrupt trace payload"):
+    with pytest.raises(TraceFormatError, match="segment 0"):
         TraceReader(bytes(data))
 
 

@@ -15,8 +15,8 @@ def store(tmp_path_factory):
     return TraceStore(tmp_path_factory.mktemp("info_cli") / "store")
 
 
-def _recorded(store, name, **kwargs):
-    store.get_or_record(ALL[name], 1, **kwargs)
+def _recorded(store, name):
+    store.get_or_record(ALL[name], 1)
     return store.trace_path(ALL[name], 1)
 
 
@@ -34,13 +34,11 @@ def test_info_v2_prints_segment_table(store, capsys):
         assert str(entry["n_records"]) in out
 
 
-def test_info_v1_reports_monolithic(tmp_path, capsys):
-    store = TraceStore(tmp_path / "v1")
-    path = _recorded(store, "fft", segment_target_bytes=None)
-    assert trace_cli.main(["info", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "ALDATRC v1" in out
-    assert "segments: none (monolithic v1 payload)" in out
+def test_info_rejects_v1_container(store, tmp_path, capsys):
+    path = tmp_path / "v1.trace"
+    path.write_bytes(b"ALDATRC1" + _recorded(store, "sort").read_bytes()[8:])
+    assert trace_cli.main(["info", str(path)]) == 1
+    assert "unsupported trace container version '1'" in capsys.readouterr().err
 
 
 def test_info_json_is_machine_readable(store, capsys):

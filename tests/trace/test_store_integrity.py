@@ -7,6 +7,8 @@ and the corrupt entry lands in ``quarantine/`` with a reason sidecar.
 """
 
 import json
+import struct
+import zlib
 
 import pytest
 
@@ -91,6 +93,21 @@ def test_get_or_record_self_heals_local_corruption(store):
     assert healed.digest == reader.digest
     assert healed.verify()
     assert path.name in store.quarantined_entries()
+
+
+def test_stale_v1_cache_entry_self_heals(store, tmp_path):
+    """A version-1 file left in the cache is quarantined and re-recorded
+    in place as the current container, with the same payload digest."""
+    fresh = TraceStore(tmp_path / "fresh").get_or_record(ALL["fft"], 1)
+    meta = json.dumps({"version": 1, "digest": fresh.digest}).encode()
+    path = store.trace_path(ALL["fft"], 1)
+    path.write_bytes(b"ALDATRC1" + zlib.compress(fresh.payload) + meta
+                     + struct.pack("<I", len(meta)) + b"ALDT")
+    healed = store.get_or_record(ALL["fft"], 1)
+    assert path.name in store.quarantined_entries()
+    assert path.read_bytes()[:8] == b"ALDATRC2"
+    assert healed.digest == fresh.digest
+    assert healed.verify()
 
 
 def test_verified_reads_counted(store):
