@@ -16,7 +16,7 @@ Request frames (client -> server):
                cache lookups).  Header keys: ``spec`` (analysis registry
                key, required), ``digest`` (trace payload digest, required
                when no trace bytes follow), ``timeout`` (seconds,
-               optional, capped by the server).
+               optional, finite and above 0, capped by the server).
 ``STATS``      admin: request a metrics snapshot (empty body)
 ``PING``       liveness probe (empty body)
 ``SHUTDOWN``   admin: ask the server to drain and exit (empty body)
@@ -49,6 +49,7 @@ under overload is bounded and the slow-down is pushed to clients.
 from __future__ import annotations
 
 import json
+import math
 import socket
 import struct
 from dataclasses import dataclass, field
@@ -178,6 +179,8 @@ def decode_request(body: bytes) -> Request:
             timeout = float(timeout)
         except (TypeError, ValueError):
             raise ProtocolError("'timeout' must be a number") from None
+        if not (math.isfinite(timeout) and timeout > 0):
+            raise ProtocolError("'timeout' must be a finite number above 0")
     return Request(spec=header["spec"], digest=digest, timeout=timeout,
                    trace_bytes=trace_bytes)
 

@@ -26,13 +26,17 @@ class RetryPolicy:
     """Backoff schedule for one logical request.
 
     ``delays()`` yields at most ``max_attempts - 1`` sleeps, stopping
-    early when the cumulative ``retry_budget`` would be exceeded.
+    early when the cumulative ``retry_budget`` would be exceeded.  The
+    jitter RNG is seeded on the first jittered delay, so a request that
+    never retries never builds one; the sequences are those of an RNG
+    seeded up front.
     """
 
     def __init__(self, config: ResilienceConfig,
                  seed: Optional[int] = None) -> None:
         self.config = config
-        self._rng = random.Random(seed)
+        self._seed = seed
+        self._rng: Optional[random.Random] = None
 
     def delays(self) -> Iterator[float]:
         config = self.config
@@ -44,6 +48,8 @@ class RetryPolicy:
                 # full-jitter on the configured fraction: delay keeps a
                 # (1 - jitter) floor so retries still spread out
                 floor = delay * (1.0 - config.backoff_jitter)
+                if self._rng is None:
+                    self._rng = random.Random(self._seed)
                 delay = floor + self._rng.random() * (delay - floor)
             if spent + delay > config.retry_budget:
                 return

@@ -8,13 +8,15 @@ the replay cost summary over the length-prefixed protocol of
 
 Request path, in order:
 
-1. frame decode (read timeout guards slow-loris clients; an oversized
-   declared length is rejected before its body is read);
+1. frame decode (a per-frame read deadline guards slow-loris clients;
+   an oversized declared length is rejected before its body is read);
 2. spec validation against :data:`repro.exec.pool.ANALYSIS_SPECS`;
 3. trace ingest (atomic, content-addressed by payload digest) when the
    request carries bytes;
 4. result-cache lookup on ``(trace digest, analysis fingerprint)`` —
-   entries are digest-verified on read, corrupt ones quarantined;
+   entries are digest-verified on read, corrupt ones quarantined.  The
+   fingerprint is memoized per spec, so a hit never leaves the event
+   loop: one verified disk read, then the reply;
 5. on miss: bounded admission (``BUSY`` when full), single-flight dedup,
    then a warm :class:`~repro.exec.workers.PersistentWorkerPool` worker
    replays the trace — analyses stay compiled across requests, and a
@@ -107,6 +109,7 @@ class AnalysisServer:
         self.scheduler: Optional[ReplayScheduler] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: set = set()
+        self._fingerprints: dict = {}  # spec -> analysis_fingerprint(spec)
         self._draining = False
         self._stopped = asyncio.Event()
 
@@ -181,14 +184,26 @@ class AnalysisServer:
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         self._connections.add(writer)
+        # The per-frame read deadline is a timer that cancels this task:
+        # asyncio.wait_for would start a new Task for every frame.
+        loop = asyncio.get_running_loop()
+        task = asyncio.current_task()
+        expired = False
+
+        def expire() -> None:
+            nonlocal expired
+            expired = True
+            task.cancel()
+
         try:
             while True:
+                timer = loop.call_later(self.config.read_timeout, expire)
                 try:
-                    frame = await asyncio.wait_for(
-                        protocol.read_frame(reader, self.config.max_frame),
-                        self.config.read_timeout,
-                    )
-                except asyncio.TimeoutError:
+                    frame = await protocol.read_frame(reader,
+                                                      self.config.max_frame)
+                except asyncio.CancelledError:
+                    if not expired:
+                        raise  # server shutdown, not a slow client
                     self.metrics.counter("read_timeouts").inc()
                     break
                 except protocol.FrameTooLarge:
@@ -202,6 +217,8 @@ class AnalysisServer:
                     self._send_error(writer, "BAD_FRAME", str(exc))
                     await writer.drain()
                     break
+                finally:
+                    timer.cancel()
                 if frame is None:
                     break  # clean EOF
                 frame_type, body = frame
@@ -315,7 +332,7 @@ class AnalysisServer:
             return
         if request.digest is not None:
             try:
-                self.store.digest_path(request.digest)
+                TraceStore.check_digest(request.digest)
             except ValueError as exc:
                 self._send_error(writer, "BAD_FRAME", str(exc))
                 return
@@ -334,12 +351,8 @@ class AnalysisServer:
         else:
             digest = request.digest
 
-        # The fingerprint builds the analysis on first use (lru-cached);
-        # keep that compile off the event loop.
-        fingerprint = await loop.run_in_executor(
-            None, analysis_fingerprint, request.spec
-        )
-        key = TraceStore.result_key(digest, fingerprint)
+        key = TraceStore.result_key(digest,
+                                    await self._fingerprint(request.spec))
 
         cached = self.store.load_result(key)
         if cached is not None:
@@ -446,7 +459,7 @@ class AnalysisServer:
             )
             return
         try:
-            self.store.digest_path(digest)
+            TraceStore.check_digest(digest)
         except ValueError as exc:
             self._send_error(writer, "BAD_RESULT", str(exc))
             return
@@ -457,14 +470,26 @@ class AnalysisServer:
             self._send_error(writer, "BAD_RESULT",
                              f"record misses required fields {missing}")
             return
-        loop = asyncio.get_running_loop()
-        fingerprint = await loop.run_in_executor(
-            None, analysis_fingerprint, spec
-        )
-        key = TraceStore.result_key(digest, fingerprint)
-        await loop.run_in_executor(None, self.store.store_result, key, record)
+        key = TraceStore.result_key(digest, await self._fingerprint(spec))
+        await asyncio.get_running_loop().run_in_executor(
+            None, self.store.store_result, key, record)
         self.metrics.counter("results_replicated_in").inc()
         protocol.write_frame(writer, protocol.PONG)
+
+    async def _fingerprint(self, spec: str) -> str:
+        """``analysis_fingerprint(spec)``, memoized per server.
+
+        A spec's first use builds the analysis (a compile), so only that
+        call goes to the executor, off the event loop; every later
+        request reads the memo without leaving the loop.
+        """
+        fingerprint = self._fingerprints.get(spec)
+        if fingerprint is None:
+            fingerprint = await asyncio.get_running_loop().run_in_executor(
+                None, analysis_fingerprint, spec
+            )
+            self._fingerprints[spec] = fingerprint
+        return fingerprint
 
     def _report_corruption(self, writer, digest: str, detail: str) -> None:
         self.metrics.counter("store_corruptions").inc()

@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
 import threading
 import time
@@ -79,6 +80,10 @@ def integrity_stats() -> dict:
     """Verified-read / corruption / quarantine counters for this process."""
     with _integrity_lock:
         return dict(_integrity)
+
+
+#: What :attr:`TraceReader.digest` produces: a lowercase hex SHA-256.
+_DIGEST = re.compile(r"[0-9a-f]{64}")
 
 
 def module_digest(workload: Workload, scale: int) -> str:
@@ -345,9 +350,14 @@ class TraceStore:
         return self.trace_path(workload, scale).exists()
 
     # -- digest-addressed traces (serve ingest path) -------------------
+    @staticmethod
+    def check_digest(digest: str) -> None:
+        """Raise ValueError unless ``digest`` is 64 lowercase hex chars."""
+        if not isinstance(digest, str) or not _DIGEST.fullmatch(digest):
+            raise ValueError(f"malformed trace digest {digest!r:.80}")
+
     def digest_path(self, digest: str) -> Path:
-        if not digest or any(c in digest for c in "/\\."):
-            raise ValueError(f"malformed trace digest {digest!r}")
+        self.check_digest(digest)
         return self.root / "by-digest" / f"{digest}.trace"
 
     def ingest(self, data: Union[bytes, TraceReader]) -> TraceReader:

@@ -144,12 +144,57 @@ def test_slow_loris_hits_read_timeout(make_server, fft_trace):
     _assert_still_serving(handle, blob)
 
 
+def test_read_deadline_is_per_frame(make_server, fft_trace):
+    """A client that keeps sending is never cut, however long it stays;
+    the deadline re-arms for every frame and still fires on a stall."""
+    digest, blob, _plain = fft_trace
+    handle = make_server(workers=0, read_timeout=0.5)
+    with ServeClient(handle.address) as client:
+        client.submit("eraser.full", trace_bytes=blob)
+    sock = _raw_connection(handle)
+    try:
+        started = time.monotonic()
+        while time.monotonic() - started < 2.0:
+            sock.sendall(protocol.encode_request("eraser.full", digest=digest))
+            frame_type, body = protocol.recv_frame(sock)
+            assert frame_type == protocol.RESULT, body
+            time.sleep(0.3)
+        stalled = time.monotonic()
+        assert sock.recv(1) == b""  # now idle past the deadline: cut
+        assert time.monotonic() - stalled < 5.0
+    finally:
+        sock.close()
+    with ServeClient(handle.address) as client:
+        assert client.stats()["counters"]["read_timeouts"] == 1
+
+
 def test_malformed_digest_rejected(make_server):
     handle = make_server()
     with ServeClient(handle.address) as client:
         with pytest.raises(RequestFailed) as exc_info:
             client.submit("eraser.full", digest="../../etc/passwd")
         assert exc_info.value.code == "BAD_FRAME"
+
+
+# TraceReader.digest is 64 lowercase hex characters; anything else is
+# refused with a typed error before it reaches the file system (a
+# 5000-character file name would raise OSError there).
+@pytest.mark.parametrize("digest", [
+    "a" * 5000, "A" * 64, "g" * 64, "a" * 63, "a" * 65,
+], ids=["long", "upper-case", "non-hex", "short", "one-too-many"])
+def test_malformed_digest_typed_errors(make_server, digest):
+    handle = make_server(workers=0)
+    with ServeClient(handle.address) as client:
+        with pytest.raises(RequestFailed) as exc_info:
+            client.submit("eraser.full", digest=digest)
+        assert exc_info.value.code == "BAD_FRAME"
+        assert len(str(exc_info.value)) < 200  # the digest is not echoed whole
+        with pytest.raises(RequestFailed) as exc_info:
+            client.put_result(digest, "eraser.full",
+                              {"instrumented_cycles": 1, "metadata_bytes": 1,
+                               "n_reports": 1})
+        assert exc_info.value.code == "BAD_RESULT"
+        assert client.ping()
 
 
 @needs_fork

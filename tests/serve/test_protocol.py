@@ -44,6 +44,22 @@ def test_malformed_request_bodies_rejected(body):
         protocol.decode_request(body)
 
 
+@pytest.mark.parametrize("timeout", [-1.0, 0.0, float("nan"), float("inf"),
+                                     float("-inf")])
+def test_nonsensical_timeouts_rejected(timeout):
+    # json.dumps writes NaN and Infinity, so a header can carry them.
+    raw = protocol.encode_request("msan.alda", digest="a" * 64, timeout=timeout)
+    with pytest.raises(protocol.ProtocolError, match="finite number above 0"):
+        protocol.decode_request(raw[5:])
+
+
+def test_positive_timeouts_accepted():
+    for timeout in (1e-3, 2, 120.0):
+        request = protocol.decode_request(protocol.encode_request(
+            "msan.alda", digest="a" * 64, timeout=timeout)[5:])
+        assert request.timeout == float(timeout)
+
+
 def test_request_without_digest_or_trace_rejected():
     header = b'{"spec": "msan.alda"}'
     body = len(header).to_bytes(4, "big") + header

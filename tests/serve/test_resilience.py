@@ -1,7 +1,9 @@
 """Retry policy, circuit breaker, and client-side resilience tests."""
 
+import random
 import socket
 import threading
+import types
 
 import pytest
 
@@ -69,6 +71,47 @@ def test_jitter_stays_within_fraction_and_is_seeded():
     assert first == second  # reproducible schedule
     assert all(0.5 <= delay <= 1.0 for delay in first)  # (1 - jitter) floor
     assert len(set(first)) > 1  # actually randomized
+
+
+def _eager_delays(config, rng):
+    """The schedule given by an RNG seeded when the policy is built."""
+    delays, backoff, spent = [], config.backoff_base, 0.0
+    for _ in range(config.max_attempts - 1):
+        delay = min(backoff, config.backoff_max)
+        floor = delay * (1.0 - config.backoff_jitter)
+        delay = floor + rng.random() * (delay - floor)
+        if spent + delay > config.retry_budget:
+            break
+        spent += delay
+        delays.append(delay)
+        backoff *= config.backoff_factor
+    return delays
+
+
+def test_lazy_rng_keeps_every_seeded_sequence():
+    config = ResilienceConfig(max_attempts=8, backoff_base=0.05,
+                              backoff_max=2.0, backoff_jitter=0.5,
+                              retry_budget=3.0)
+    for seed in range(21):
+        rng = random.Random(seed)
+        policy = RetryPolicy(config, seed=seed)
+        assert list(policy.delays()) == _eager_delays(config, rng)
+        # a second schedule continues the same stream
+        assert list(policy.delays()) == _eager_delays(config, rng)
+
+
+def test_no_rng_until_the_first_retry(monkeypatch):
+    from repro.serve import resilience
+
+    built = []
+    monkeypatch.setattr(resilience, "random", types.SimpleNamespace(
+        Random=lambda seed: built.append(seed) or random.Random(seed)))
+    policy = RetryPolicy(ResilienceConfig(), seed=3)
+    delays = policy.delays()
+    assert built == []  # a request that succeeds first time builds none
+    next(delays)
+    next(delays)
+    assert built == [3]  # one RNG, kept on the policy
 
 
 def test_single_attempt_means_no_sleeps():

@@ -53,6 +53,32 @@ def test_cache_hit_and_digest_only(make_server, fft_trace):
     assert snap["cache_hit_rate"] == 0.5
 
 
+def test_cache_hits_stay_on_the_event_loop(make_server, fft_trace,
+                                          monkeypatch):
+    """After a spec's first request, a hit makes no executor call: the
+    fingerprint is memoized and the result read is one verified file
+    read on the loop."""
+    digest, blob, _plain = fft_trace
+    handle = make_server(workers=0)
+    with ServeClient(handle.address) as client:
+        client.submit("eraser.full", trace_bytes=blob)
+        loop = handle._loop
+        calls = []
+        real = loop.run_in_executor
+        monkeypatch.setattr(loop, "run_in_executor",
+                            lambda *args: calls.append(args) or real(*args))
+        loads = []
+        real_load = handle.server.store.load_result
+        monkeypatch.setattr(handle.server.store, "load_result",
+                            lambda key: loads.append(key) or real_load(key))
+        for _ in range(50):
+            assert client.submit("eraser.full", digest=digest)["cached"]
+        snap = client.stats()
+    assert calls == []
+    assert len(loads) == 50  # every hit still reads and verifies the file
+    assert snap["counters"]["cache_hits"] == 50
+
+
 def test_unknown_digest_rejected(make_server):
     handle = make_server()
     with ServeClient(handle.address) as client:
