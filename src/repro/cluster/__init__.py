@@ -12,18 +12,19 @@ fault-injection substrate.
 
 Routing is a performance structure, not a correctness one: any shard
 can replay any trace it is handed, so a stale ring view degrades cache
-locality, never answers.  The cluster chaos mode
-(:func:`repro.cluster.chaos.run_cluster_chaos`) holds the serving
-invariant — every request bit-correct or typed, never wrong — while a
-shard is killed mid-storm.
+locality, never answers.  The one chaos driver
+(:func:`repro.serve.chaos.run_chaos` with ``shards >= 2``) holds the
+serving invariant — every request bit-correct or typed, never wrong —
+while a shard is killed mid-storm; a single daemon is the one-shard
+ring of that same driver and of the one load generator.
 
 CLI::
 
     python -m repro.cluster up --shards 3        # run a cluster
     python -m repro.cluster stats --membership PATH
-    python -m repro.cluster loadgen --shards 3 --requests 100
-    python -m repro.cluster chaos --seed 7 --shards 3
     python -m repro.cluster shutdown --membership PATH
+    python -m repro.serve loadgen --shards 3 --requests 100
+    python -m repro.serve chaos --seed 7 --shards 3
 """
 
 from repro.cluster.client import (

@@ -4,9 +4,11 @@ Commands::
 
     python -m repro.cluster up --shards 3 --root DIR     # run a cluster
     python -m repro.cluster stats --membership PATH      # merged stats
-    python -m repro.cluster loadgen --shards 3           # load generator
-    python -m repro.cluster chaos --seed 7 --shards 3    # fault-injection
     python -m repro.cluster shutdown --membership PATH   # drain all shards
+
+Load and chaos against a ring run through the one driver in
+:mod:`repro.serve`: ``python -m repro.serve loadgen --membership PATH``
+or ``--shards N``, and ``python -m repro.serve chaos --shards N``.
 """
 
 from __future__ import annotations
@@ -90,54 +92,6 @@ def _stats(argv) -> int:
     return 0
 
 
-def _chaos(argv) -> int:
-    from repro.cluster.chaos import render_cluster_report, run_cluster_chaos
-    from repro.serve.__main__ import _parse_fault
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cluster chaos",
-        description="Seeded fault-injection run against a private shard "
-                    "ring, killing one shard mid-storm; asserts every "
-                    "request is bit-correct or a typed error.",
-    )
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--shards", type=int, default=3)
-    parser.add_argument("--replication", type=int, default=2)
-    parser.add_argument("--fault", action="append", default=None,
-                        metavar="POINT=P[:MAX[:SKIP]]", type=_parse_fault,
-                        help="arm a fault point (repeatable); default: "
-                             "guaranteed shard kill + a mixed storm")
-    parser.add_argument("--requests", type=int, default=30)
-    parser.add_argument("--concurrency", type=int, default=3)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="replay workers per shard (default 1)")
-    parser.add_argument("--workload", default="fft")
-    parser.add_argument("--scale", type=int, default=1)
-    parser.add_argument("--analysis", default="eraser.full", metavar="SPEC")
-    parser.add_argument("--out", default=None, metavar="PATH",
-                        help="write the JSON report here")
-    args = parser.parse_args(argv)
-
-    report = run_cluster_chaos(
-        seed=args.seed, shards=args.shards, replication=args.replication,
-        points=dict(args.fault) if args.fault else None,
-        requests=args.requests, concurrency=args.concurrency,
-        workers=args.workers, workload=args.workload, scale=args.scale,
-        spec=args.analysis,
-    )
-    print(render_cluster_report(report))
-    if args.out:
-        import pathlib
-
-        out_path = pathlib.Path(args.out)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
-        print(f"[wrote {out_path}]")
-    return 0 if report.invariant_ok else 1
-
-
 def _shutdown(argv) -> int:
     from repro.cluster.membership import Membership
     from repro.serve.client import ServeClient, ServeError
@@ -165,16 +119,10 @@ def main(argv=None) -> int:
         return _up(argv[1:])
     if argv and argv[0] == "stats":
         return _stats(argv[1:])
-    if argv and argv[0] == "loadgen":
-        from repro.cluster.loadgen import main as loadgen_main
-
-        return loadgen_main(argv[1:])
-    if argv and argv[0] == "chaos":
-        return _chaos(argv[1:])
     if argv and argv[0] == "shutdown":
         return _shutdown(argv[1:])
     print("usage: python -m repro.cluster "
-          "{up,stats,loadgen,chaos,shutdown} ...", file=sys.stderr)
+          "{up,stats,shutdown} ...", file=sys.stderr)
     return 2
 
 

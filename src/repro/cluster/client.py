@@ -10,9 +10,11 @@ works against a shard ring unchanged.  Per request it:
 2. tries each replica in turn behind that shard's own retry policy and
    circuit breaker (:mod:`repro.serve.resilience`), failing over on
    transport errors, ``BUSY``/draining backpressure, and open breakers;
-3. heals digest-first: a shard answering ``UNKNOWN_TRACE`` gets the
-   trace bytes re-uploaded immediately (the same self-repair a corrupt
-   or quarantined entry triggers on a single daemon);
+3. heals digest-first through the shard's own
+   :meth:`ServeClient.submit_digest_first`: a shard answering
+   ``UNKNOWN_TRACE`` gets the trace bytes re-uploaded, and an
+   ``UNKNOWN_TRACE`` on the upload itself (the shard quarantined the
+   trace as corrupt) is retried like on a single daemon;
 4. replicates writes: a freshly uploaded trace is pushed to the other
    replicas (``PUT_TRACE``), and a freshly *computed* result record is
    pushed into their result caches (``PUT_RESULT``) — best-effort, so a
@@ -235,20 +237,10 @@ class ClusterClient:
                 continue
             self._inject_slow_replica()
             client = self._client(shard)
-            uploaded = False
+            uploads = client.uploads
             try:
-                try:
-                    response = client.submit(spec, digest=digest,
-                                             timeout=timeout)
-                except RequestFailed as exc:
-                    if exc.code != "UNKNOWN_TRACE":
-                        raise
-                    # digest-first healing: this shard lost (or never
-                    # had) the trace — upload and retry on it
-                    response = client.submit(spec, trace_bytes=trace_bytes,
-                                             timeout=timeout)
-                    uploaded = True
-                    self.cluster_stats["healed_uploads"] += 1
+                response = client.submit_digest_first(spec, digest,
+                                                      trace_bytes, timeout)
             except (ServerBusy, RetriesExhausted, CircuitOpenError,
                     OSError, protocol.ProtocolError) as exc:
                 errors.append((shard.name, exc))
@@ -258,13 +250,15 @@ class ClusterClient:
                     errors.append((shard.name, exc))
                     continue
                 raise  # deterministic: every replica would answer this
-            self._merge_client_stats(client)
+            uploaded = client.uploads - uploads
+            self.cluster_stats["healed_uploads"] += uploaded
+            self._merge_client_stats()
             self.per_shard[shard.name] = self.per_shard.get(shard.name, 0) + 1
             if index:
                 self.cluster_stats["failovers"] += 1
             if self.replicate_writes:
                 self._replicate(replicas, shard, spec, digest, trace_bytes,
-                                uploaded, response)
+                                bool(uploaded), response)
             response["shard"] = shard.name
             return response
         raise ClusterUnavailable(digest, errors)
@@ -299,12 +293,11 @@ class ClusterClient:
             except (ServeError, OSError, protocol.ProtocolError):
                 self.cluster_stats["replication_failures"] += 1
 
-    def _merge_client_stats(self, client: ServeClient) -> None:
+    def _merge_client_stats(self) -> None:
         for key in self.retry_stats:
             self.retry_stats[key] = sum(
                 c.retry_stats[key] for c in self._clients.values()
             )
-        del client  # stats are re-summed over every shard client
 
     # -- admin ----------------------------------------------------------
     def ping_all(self) -> Dict[str, bool]:

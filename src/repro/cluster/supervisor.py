@@ -20,19 +20,26 @@ from __future__ import annotations
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro import faultline
 from repro.serve.client import ServeClient, ServeError
 from repro.serve import protocol
+from repro.serve.config import ResilienceConfig
 
+from repro.cluster.client import ClusterClient
 from repro.cluster.membership import Membership, Shard
 from repro.cluster.ring import DEFAULT_VNODES
 from repro.cluster.stats import merge_snapshots
 
 MEMBERSHIP_FILENAME = "membership.json"
+
+#: server-side ResilienceConfig fields ``python -m repro.serve`` has no
+#: flag for, so a process shard always runs their defaults
+UNFORWARDED_RESILIENCE = ("heartbeat_interval", "reaper_interval",
+                          "respawn_window", "max_respawns_per_window")
 
 
 @dataclass
@@ -54,6 +61,10 @@ class ClusterConfig:
     #: the thread backend always lets the kernel pick free ports
     base_port: int = 7101
     start_timeout: float = 30.0
+    #: every shard's server-side watchdog/breaker/fallback posture; the
+    #: process backend passes the fields ``python -m repro.serve`` has
+    #: flags for and refuses a change to any other server-side field
+    resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -62,6 +73,15 @@ class ClusterConfig:
             raise ValueError(f"unknown backend {self.backend!r}")
         if not 1 <= self.replication:
             raise ValueError("replication factor must be >= 1")
+        if self.backend == "process":
+            default = ResilienceConfig()
+            lost = [name for name in UNFORWARDED_RESILIENCE
+                    if getattr(self.resilience, name) != getattr(default, name)]
+            if lost:
+                raise ValueError(
+                    f"the process backend cannot pass resilience {lost} "
+                    "to its shards (python -m repro.serve has no flag)"
+                )
 
 
 class ClusterSupervisor:
@@ -113,7 +133,7 @@ class ClusterSupervisor:
 
         handle = serve_in_thread(ServeConfig(
             host=self.config.host, port=0, workers=self.config.workers,
-            store_root=str(store),
+            store_root=str(store), resilience=self.config.resilience,
         ), start_timeout=self.config.start_timeout)
         self._handles[name] = handle
         return handle.address
@@ -121,15 +141,20 @@ class ClusterSupervisor:
     def _start_process_shard(self, name: str, store: Path, index: int) -> str:
         port = self.config.base_port + index
         log_path = self.root / name / "serve.log"
+        resilience = self.config.resilience
+        argv = [sys.executable, "-m", "repro.serve",
+                "--host", self.config.host, "--port", str(port),
+                "--workers", str(self.config.workers),
+                "--store", str(store),
+                "--hang-timeout", str(resilience.hang_timeout or 0),
+                "--breaker-threshold", str(resilience.breaker_threshold),
+                "--breaker-reset", str(resilience.breaker_reset)]
+        if not resilience.inline_fallback:
+            argv.append("--no-inline-fallback")
         log = open(log_path, "ab")
         try:
-            process = subprocess.Popen(
-                [sys.executable, "-m", "repro.serve",
-                 "--host", self.config.host, "--port", str(port),
-                 "--workers", str(self.config.workers),
-                 "--store", str(store)],
-                stdout=log, stderr=subprocess.STDOUT,
-            )
+            process = subprocess.Popen(argv, stdout=log,
+                                       stderr=subprocess.STDOUT)
         finally:
             log.close()  # the child holds its own descriptor
         self._processes[name] = process
@@ -251,35 +276,14 @@ class ClusterSupervisor:
         return alive
 
     # -- stats ---------------------------------------------------------
-    def shard_stats(self) -> Dict[str, dict]:
-        """Per-shard STATS snapshots (``{"error": ...}`` when unreachable)."""
-        snapshots: Dict[str, dict] = {}
-        for shard in self.membership.shards:
-            try:
-                with ServeClient(shard.address, timeout=5.0) as client:
-                    snapshots[shard.name] = client.stats()
-            except (ServeError, OSError, protocol.ProtocolError) as exc:
-                snapshots[shard.name] = {
-                    "error": f"{type(exc).__name__}: {exc}"
-                }
-        return snapshots
-
     def aggregate_stats(self) -> dict:
         """Cluster-wide merged stats (see :mod:`repro.cluster.stats`)."""
-        return merge_snapshots(self.shard_stats())
+        return aggregate_from_membership(self.membership)
 
 
 def aggregate_from_membership(
     membership: Union[str, Path, Membership],
 ) -> dict:
-    """Merge stats for an already-running cluster, given its membership."""
-    if not isinstance(membership, Membership):
-        membership = Membership.load(membership)
-    snapshots: Dict[str, dict] = {}
-    for shard in membership.shards:
-        try:
-            with ServeClient(shard.address, timeout=5.0) as client:
-                snapshots[shard.name] = client.stats()
-        except (ServeError, OSError, protocol.ProtocolError) as exc:
-            snapshots[shard.name] = {"error": f"{type(exc).__name__}: {exc}"}
-    return merge_snapshots(snapshots)
+    """Merge the per-shard STATS snapshots of a running cluster."""
+    with ClusterClient(membership, timeout=5.0) as probe:
+        return merge_snapshots(probe.stats())

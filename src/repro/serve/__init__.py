@@ -27,9 +27,14 @@ Modules:
 * :mod:`repro.serve.resilience` — the retry-policy and circuit-breaker
   machines themselves;
 * :mod:`repro.serve.chaos` — seeded fault-injection runs
-  (``python -m repro.serve chaos``), asserting bit-correct-or-typed;
+  (``python -m repro.serve chaos [--shards N]``), asserting
+  bit-correct-or-typed;
 * :mod:`repro.serve.loadgen` — load generator
-  (``python -m repro.serve loadgen``).
+  (``python -m repro.serve loadgen --server|--membership|--shards``).
+
+Both drive a roster through :class:`repro.cluster.ClusterClient`: a
+single daemon is the one-shard ring, so one storm loop and one
+digest-first heal rule serve both topologies.
 
 See ``docs/SERVING.md`` for the protocol and semantics reference, and
 ``docs/RESILIENCE.md`` for the failure model.

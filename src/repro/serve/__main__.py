@@ -5,7 +5,7 @@ Commands::
     python -m repro.serve --port 7091 --workers 4      # run the daemon
     python -m repro.serve stats --server HOST:PORT     # metrics snapshot
     python -m repro.serve loadgen --server HOST:PORT   # load generator
-    python -m repro.serve chaos --seed 7               # fault-injection run
+    python -m repro.serve chaos --seed 7 [--shards 3]  # fault-injection run
     python -m repro.serve shutdown --server HOST:PORT  # graceful drain
 """
 
@@ -135,12 +135,18 @@ def _parse_fault(raw: str):
 
 def _chaos(argv) -> int:
     from repro.faultline import FAULT_POINTS
-    from repro.serve.chaos import render_report, run_chaos
+    from repro.serve.chaos import (
+        DEFAULT_CLUSTER_POINTS,
+        DEFAULT_POINTS,
+        render_report,
+        run_chaos,
+    )
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve chaos",
-        description="Seeded fault-injection run against a private server; "
-                    "asserts every request is bit-correct or a typed error.",
+        description="Seeded fault-injection run against a private shard "
+                    "ring; asserts every request is bit-correct or a typed "
+                    "error.",
     )
     parser.add_argument("--seed", type=int, required=True,
                         help="fault-schedule seed (a failing run is "
@@ -149,10 +155,17 @@ def _chaos(argv) -> int:
                         metavar="POINT=P[:MAX[:SKIP]]", type=_parse_fault,
                         help="arm a fault point, e.g. worker.crash.midjob=0.3 "
                              f"(points: {', '.join(FAULT_POINTS)}); "
-                             "repeatable. Default: a mixed storm.")
+                             "repeatable. Default: a mixed storm, with a "
+                             "mid-run shard kill when --shards >= 2.")
+    parser.add_argument("--shards", type=int, default=1,
+                        help="shards in the private ring (default 1: a "
+                             "single daemon)")
+    parser.add_argument("--replication", type=int, default=2,
+                        help="replicas per digest (default 2)")
     parser.add_argument("--requests", type=int, default=24)
     parser.add_argument("--concurrency", type=int, default=3)
-    parser.add_argument("--workers", type=int, default=2)
+    parser.add_argument("--workers", type=int, default=2,
+                        help="replay workers per shard (default 2)")
     parser.add_argument("--workload", default="fft")
     parser.add_argument("--scale", type=int, default=1)
     parser.add_argument("--analysis", default="eraser.full", metavar="SPEC",
@@ -165,18 +178,16 @@ def _chaos(argv) -> int:
     if args.fault:
         points = dict(args.fault)
     else:
-        points = {
-            "serve.busy": 0.15,
-            "serve.conn.reset": 0.1,
-            "worker.crash.midjob": 0.2,
-            "store.read.corrupt": 0.1,
-            "store.write.partial": 0.1,
-        }
-    report = run_chaos(
-        seed=args.seed, points=points, requests=args.requests,
-        concurrency=args.concurrency, workers=args.workers,
-        workload=args.workload, scale=args.scale, spec=args.analysis,
-    )
+        points = DEFAULT_CLUSTER_POINTS if args.shards > 1 else DEFAULT_POINTS
+    try:
+        report = run_chaos(
+            seed=args.seed, points=points, requests=args.requests,
+            concurrency=args.concurrency, workers=args.workers,
+            workload=args.workload, scale=args.scale, spec=args.analysis,
+            shards=args.shards, replication=args.replication,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     print(render_report(report))
     if args.out:
         import pathlib

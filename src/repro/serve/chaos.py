@@ -1,59 +1,63 @@
-"""Chaos harness: drive a live daemon through injected faults.
+"""Chaos harness: drive a live shard ring through injected faults.
 
 :func:`run_chaos` is the executable form of the resilience contract:
 
 * record a workload trace and compute its reference replay result
-  *before* any fault is armed;
+  *before* any fault is armed, in a store of its own;
 * install a seeded :class:`~repro.faultline.FaultPlan` (API + the
   ``REPRO_FAULTLINE`` env var, so spawned pool workers inherit it);
-* hammer a freshly started server from concurrent resilient clients;
+* start a private ring through :class:`~repro.cluster.ClusterSupervisor`
+  (one shard is the single-daemon case), seed every shard's store with
+  the trace, and hammer the ring with the
+  :class:`~repro.serve.loadgen.LoadGen` storm;
 * classify every request: **bit-correct result**, **typed error**, or —
   the one outcome that must never happen — **wrong result**;
-* finally check the server still answers ping/stats and drains cleanly.
+* finally check every surviving shard still answers STATS and the ring
+  drains cleanly.
+
+On top of the single-node fault points, the cluster points fire:
+``cluster.shard.down`` takes the digest's *primary* shard down when the
+request a third of the way into the storm is claimed (it needs a ring of
+at least two shards), and ``cluster.net.partition`` /
+``cluster.replica.slow`` make one attempt on one shard fail or stall on
+the client edge, driving the failover path.
 
 The invariant a chaos run asserts is *correct or typed, never wrong*:
 faults may cost availability (a request may exhaust its retries and
 surface a typed error) but never integrity (a request that returns a
-RESULT returns the same numbers a fault-free run would).
+RESULT returns the same numbers a fault-free run would).  When a shard
+was killed, requests must also keep completing afterwards.
 
 Reproducibility: the fault schedule derives entirely from the plan
 seed, and client retry jitter from ``seed`` — a failing run is re-run
-from two integers.
+from two integers.  Because every shard holds the trace before the
+storm, each request starts as one digest-only frame; how many client
+threads race a first upload never changes the number of fault draws.
 
 CLI::
 
     python -m repro.serve chaos --seed 7 --requests 40 \\
         --fault worker.crash.midjob=0.3 --fault serve.busy=0.2
+    python -m repro.serve chaos --seed 7 --shards 3   # kill a shard mid-run
 """
 
 from __future__ import annotations
 
 import os
-import threading
-import time
+import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Union
 
 from repro import faultline
+from repro.cluster.supervisor import ClusterConfig, ClusterSupervisor
 from repro.faultline import FaultPlan, FaultSpec
-from repro.serve.client import (
-    CircuitOpenError,
-    RequestFailed,
-    RetriesExhausted,
-    ServeClient,
-    ServerBusy,
-)
 from repro.serve.config import ResilienceConfig
-from repro.serve.server import ServeConfig, serve_in_thread
-
-#: Result fields that must be bit-identical to the reference replay.
-#: (wall_seconds is a measurement, not a result.)
-DETERMINISTIC_FIELDS = (
-    "baseline_cycles", "instrumented_cycles", "metadata_bytes", "n_reports",
-)
+from repro.serve.loadgen import LoadGen
 
 #: Fast-test resilience posture: tight watchdog, quick breaker reset,
-#: generous attempts — chaos runs finish in seconds, not minutes.
+#: generous attempts — chaos runs finish in seconds, not minutes.  The
+#: servers and the clients of a run both use it.
 CHAOS_RESILIENCE = ResilienceConfig(
     max_attempts=8,
     backoff_base=0.02,
@@ -66,6 +70,25 @@ CHAOS_RESILIENCE = ResilienceConfig(
     reaper_interval=0.5,
 )
 
+#: Default storm on one shard: every single-node fault family.
+DEFAULT_POINTS = {
+    "serve.busy": 0.15,
+    "serve.conn.reset": 0.1,
+    "worker.crash.midjob": 0.2,
+    "store.read.corrupt": 0.1,
+    "store.write.partial": 0.1,
+}
+
+#: Default storm on a ring: the guaranteed mid-run shard kill plus a
+#: sprinkling of client-edge and single-node faults.
+DEFAULT_CLUSTER_POINTS = {
+    "cluster.shard.down": FaultSpec(probability=1.0, max_fires=1),
+    "cluster.net.partition": 0.08,
+    "cluster.replica.slow": 0.08,
+    "serve.busy": 0.1,
+    "worker.crash.midjob": 0.1,
+}
+
 
 @dataclass
 class ChaosReport:
@@ -73,15 +96,41 @@ class ChaosReport:
 
     seed: int
     requests: int
+    shards: int = 1
+    replication: int = 1
     ok: int = 0
     wrong_results: List[dict] = field(default_factory=list)
     typed_errors: Dict[str, int] = field(default_factory=dict)
     unavailable: int = 0  # retries exhausted / busy / breaker open
     wall_seconds: float = 0.0
-    server_survived: bool = False
+    killed_shard: Optional[str] = None
+    ok_after_kill: int = 0
+    survivors_alive: bool = False
     drained: bool = False
-    health: Optional[dict] = None
+    per_shard: Dict[str, int] = field(default_factory=dict)
+    cluster_counters: Dict[str, int] = field(default_factory=dict)
+    #: each surviving shard's STATS ``health`` block, by shard name
+    health: Optional[Dict[str, dict]] = None
     plan_stats: Optional[dict] = None
+
+    @classmethod
+    def from_storm(cls, storm: dict, **fields) -> "ChaosReport":
+        """Classify a :class:`LoadGen` storm report; ``fields`` adds the
+        run's own facts (seed, ring shape, survivors, plan stats)."""
+        cluster = storm["cluster"]
+        return cls(
+            requests=storm["config"]["requests"],
+            ok=storm["completed"],
+            wrong_results=storm["wrong_results"],
+            typed_errors=storm["typed_errors"],
+            unavailable=storm["busy"] + storm["breaker_open"],
+            wall_seconds=storm["wall_seconds"],
+            killed_shard=cluster["killed_shard"],
+            ok_after_kill=cluster["ok_after_kill"],
+            per_shard=cluster["per_shard"],
+            cluster_counters=cluster["counters"],
+            **fields,
+        )
 
     @property
     def answered(self) -> int:
@@ -89,23 +138,35 @@ class ChaosReport:
 
     @property
     def invariant_ok(self) -> bool:
-        """Correct-or-typed-never-wrong, and the server outlived the storm."""
+        """Correct-or-typed, survivors drain, goodput holds through a kill.
+
+        ``ok_after_kill`` only constrains runs where the kill actually
+        fired — a schedule that never took a shard down asserts the
+        plain invariant.
+        """
         return (not self.wrong_results
                 and self.answered == self.requests
-                and self.server_survived
-                and self.drained)
+                and self.survivors_alive
+                and self.drained
+                and (self.killed_shard is None or self.ok_after_kill > 0))
 
     def to_dict(self) -> dict:
         return {
             "seed": self.seed,
             "requests": self.requests,
+            "shards": self.shards,
+            "replication": self.replication,
             "ok": self.ok,
             "wrong_results": len(self.wrong_results),
             "typed_errors": dict(sorted(self.typed_errors.items())),
             "unavailable": self.unavailable,
             "wall_seconds": self.wall_seconds,
-            "server_survived": self.server_survived,
+            "killed_shard": self.killed_shard,
+            "ok_after_kill": self.ok_after_kill,
+            "survivors_alive": self.survivors_alive,
             "drained": self.drained,
+            "per_shard": dict(sorted(self.per_shard.items())),
+            "cluster_counters": dict(sorted(self.cluster_counters.items())),
             "invariant_ok": self.invariant_ok,
             "plan_stats": self.plan_stats,
         }
@@ -113,9 +174,7 @@ class ChaosReport:
 
 def reference_result(store, workload_name: str, scale: int, spec: str) -> dict:
     """Fault-free replay of (workload, scale, spec); the ground truth."""
-    from repro.exec.pool import analysis_fingerprint
     from repro.serve.tasks import replay_digest
-    from repro.trace.store import TraceStore
     from repro.workloads import ALL
 
     assert faultline.active_plan() is None, \
@@ -125,16 +184,9 @@ def reference_result(store, workload_name: str, scale: int, spec: str) -> dict:
     # replay_digest resolves traces through the by-digest/ namespace
     # (the daemon's ingest path), so mirror the recording there.
     store.ingest(store.trace_path(workload, scale).read_bytes())
-    record = replay_digest({
+    return replay_digest({
         "root": str(store.root), "digest": reader.digest, "spec": spec,
     })
-    # Drop the reference from the result cache: chaos requests must
-    # exercise the replay path, not hit a pre-warmed entry.
-    key = TraceStore.result_key(reader.digest, analysis_fingerprint(spec))
-    cache_path = store._result_path(key)
-    if cache_path.exists():
-        cache_path.unlink()
-    return record
 
 
 def run_chaos(
@@ -147,136 +199,106 @@ def run_chaos(
     scale: int = 1,
     spec: str = "eraser.full",
     resilience: ResilienceConfig = CHAOS_RESILIENCE,
-    use_env: bool = True,
-    client_timeout: float = 30.0,
+    shards: int = 1,
+    replication: int = 2,
 ) -> ChaosReport:
-    """One seeded chaos run against a private server; returns the report.
+    """One seeded chaos run against a private ring; returns the report.
 
     ``points`` maps fault-point names to probabilities or
-    :class:`FaultSpec` schedules.  The server, its store, and the fault
+    :class:`FaultSpec` schedules.  The ring, its stores, and the fault
     plan live and die inside this call; global faultline state is
-    restored on exit.
+    restored on exit.  The reference replay uses a store of its own, so
+    the shards' first trace reads are real reads that store faults can
+    hit.
     """
-    import tempfile
-
     from repro.trace.store import TraceStore
     from repro.workloads import ALL
 
-    report = ChaosReport(seed=seed, requests=requests)
+    if "cluster.shard.down" in points and shards < 2:
+        raise ValueError("cluster.shard.down needs a ring of at least "
+                         f"2 shards, got shards={shards}")
     plan = FaultPlan(seed=seed, points=points)
     previous_env = os.environ.get(faultline.ENV_VAR)
 
     with tempfile.TemporaryDirectory(prefix="alda-chaos-") as tmp:
-        store = TraceStore(tmp)
+        store = TraceStore(Path(tmp) / "reference")
         reference = reference_result(store, workload, scale, spec)
-        expected = {name: reference[name] for name in DETERMINISTIC_FIELDS}
         trace_bytes = store.trace_path(ALL[workload], scale).read_bytes()
-        digest = store.get_or_record(ALL[workload], scale).digest
-
+        supervisor = ClusterSupervisor(ClusterConfig(
+            shards=shards, replication=replication, workers=workers,
+            root=str(Path(tmp) / "ring"), resilience=resilience,
+        ))
         try:
-            if use_env:
-                os.environ[faultline.ENV_VAR] = plan.to_env()
+            os.environ[faultline.ENV_VAR] = plan.to_env()
             faultline.install(plan)
-
-            config = ServeConfig(workers=workers, store_root=tmp,
-                                 request_timeout=60.0,
-                                 resilience=resilience)
-            handle = serve_in_thread(config)
-            lock = threading.Lock()
-            counter = {"next": 0}
-            started = time.perf_counter()
-
-            def claim() -> Optional[int]:
-                with lock:
-                    if counter["next"] >= requests:
-                        return None
-                    counter["next"] += 1
-                    return counter["next"] - 1
-
-            def client_loop(worker_index: int) -> None:
-                client = ServeClient(
-                    handle.address, timeout=client_timeout,
-                    resilience=resilience, retry_seed=seed + worker_index,
-                )
-                with client:
-                    while True:
-                        if claim() is None:
-                            return
-                        try:
-                            response = client.submit_digest_first(
-                                spec, digest, trace_bytes
-                            )
-                        except (ServerBusy, RetriesExhausted,
-                                CircuitOpenError):
-                            with lock:
-                                report.unavailable += 1
-                            continue
-                        except RequestFailed as exc:
-                            with lock:
-                                code = exc.code or "UNKNOWN"
-                                report.typed_errors[code] = (
-                                    report.typed_errors.get(code, 0) + 1
-                                )
-                            continue
-                        except OSError as exc:
-                            with lock:
-                                code = f"transport:{type(exc).__name__}"
-                                report.typed_errors[code] = (
-                                    report.typed_errors.get(code, 0) + 1
-                                )
-                            continue
-                        record = response["result"]
-                        got = {name: record.get(name)
-                               for name in DETERMINISTIC_FIELDS}
-                        with lock:
-                            if got == expected:
-                                report.ok += 1
-                            else:
-                                report.wrong_results.append(
-                                    {"expected": expected, "got": got}
-                                )
-
-            threads = [
-                threading.Thread(target=client_loop, args=(i,),
-                                 name=f"chaos-client-{i}", daemon=True)
-                for i in range(max(1, concurrency))
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            report.wall_seconds = time.perf_counter() - started
-
-            # The server must have outlived the storm: answer a clean
-            # ping and a stats request, then drain without leftovers.
-            with ServeClient(handle.address, timeout=30.0) as probe:
-                report.server_survived = probe.ping()
-                snap = probe.stats()
-                report.health = snap.get("health")
-            handle.stop(timeout=30.0)
-            report.drained = True
+            # Startup pings suppress the armed faults (see _await_ready),
+            # and so does seeding: each shard holds the trace in a store
+            # of its own before the storm, so its first read is a real read.
+            supervisor.start()
+            with faultline.suppressed("store.write.partial"):
+                for shard in supervisor.membership.shards:
+                    TraceStore(shard.store).ingest(trace_bytes)
+            gen = LoadGen(supervisor, [spec], reference["trace_digest"],
+                          trace_bytes, requests, concurrency, timeout=30.0,
+                          resilience=resilience, seed=seed,
+                          reference={spec: reference})
+            storm = gen.run()
+            # Every surviving shard must have outlived the storm: the
+            # storm's closing STATS probe reached it.
+            survivors = supervisor.membership.up_shards()
+            snapshots = {shard.name: gen.snapshots.get(shard.name)
+                         or {"error": "not probed"} for shard in survivors}
+            survivors_alive = bool(survivors) and not any(
+                "error" in snap for snap in snapshots.values()
+            )
+            supervisor.stop()
         finally:
+            supervisor.stop()
             faultline.clear()
-            if use_env:
-                if previous_env is None:
-                    os.environ.pop(faultline.ENV_VAR, None)
-                else:
-                    os.environ[faultline.ENV_VAR] = previous_env
-            report.plan_stats = plan.stats()
+            if previous_env is None:
+                os.environ.pop(faultline.ENV_VAR, None)
+            else:
+                os.environ[faultline.ENV_VAR] = previous_env
 
-    return report
+    return ChaosReport.from_storm(
+        storm, seed=seed, shards=shards,
+        replication=supervisor.membership.replication,
+        survivors_alive=survivors_alive, drained=True,
+        health={name: snap.get("health") for name, snap in snapshots.items()},
+        plan_stats=plan.stats(),
+    )
 
 
 def render_report(report: ChaosReport) -> str:
     lines = [
-        f"chaos seed={report.seed}: {report.ok}/{report.requests} bit-correct, "
+        f"chaos seed={report.seed} shards={report.shards} "
+        f"R={report.replication}: {report.ok}/{report.requests} bit-correct, "
         f"{report.unavailable} unavailable (typed), "
         f"{sum(report.typed_errors.values())} typed errors, "
         f"{len(report.wrong_results)} WRONG results "
         f"in {report.wall_seconds:.2f}s",
     ]
+    if report.killed_shard:
+        lines.append(
+            f"  killed {report.killed_shard} mid-run; "
+            f"{report.ok_after_kill} request(s) completed after the kill"
+        )
     for code, count in sorted(report.typed_errors.items()):
         lines.append(f"  error {code}: {count}")
+    if report.per_shard:
+        lines.append(
+            "  served by: "
+            + ", ".join(f"{name}={count}"
+                        for name, count in sorted(report.per_shard.items()))
+        )
+    counters = report.cluster_counters
+    if counters:
+        lines.append(
+            f"  cluster: failovers={counters.get('failovers', 0)} "
+            f"healed_uploads={counters.get('healed_uploads', 0)} "
+            f"traces_replicated={counters.get('traces_replicated', 0)} "
+            f"results_replicated={counters.get('results_replicated', 0)}"
+        )
     if report.plan_stats:
         fires = report.plan_stats.get("fires", {})
         lines.append(
@@ -286,7 +308,7 @@ def render_report(report: ChaosReport) -> str:
                or "none")
         )
     lines.append(
-        f"  server survived: {report.server_survived}, "
+        f"  survivors alive: {report.survivors_alive}, "
         f"drained: {report.drained}, "
         f"invariant: {'OK' if report.invariant_ok else 'VIOLATED'}"
     )

@@ -112,6 +112,9 @@ class ServeClient:
             "attempts": 0, "retries": 0, "busy_retried": 0,
             "transport_retried": 0, "code_retried": 0, "breaker_rejections": 0,
         }
+        #: trace uploads made by :meth:`submit_digest_first` (each one
+        #: answers an ``UNKNOWN_TRACE``)
+        self.uploads = 0
 
     # -- plumbing ------------------------------------------------------
     def _connection(self) -> socket.socket:
@@ -249,6 +252,7 @@ class ServeClient:
         except RequestFailed as exc:
             if exc.code != "UNKNOWN_TRACE":
                 raise
+        self.uploads += 1
         return self._submit_once(spec, trace_bytes=trace_bytes, timeout=timeout)
 
     # -- replication RPCs (used by repro.cluster) ----------------------

@@ -326,7 +326,7 @@ class AnalysisServer:
         if request.spec not in ANALYSIS_SPECS:
             self._send_error(
                 writer, "UNKNOWN_SPEC",
-                f"unknown analysis spec {request.spec!r}; "
+                f"unknown analysis spec {request.spec!r:.80}; "
                 f"known: {sorted(ANALYSIS_SPECS)}",
             )
             return
@@ -454,7 +454,7 @@ class AnalysisServer:
         if spec not in ANALYSIS_SPECS:
             self._send_error(
                 writer, "UNKNOWN_SPEC",
-                f"unknown analysis spec {spec!r}; "
+                f"unknown analysis spec {spec!r:.80}; "
                 f"known: {sorted(ANALYSIS_SPECS)}",
             )
             return

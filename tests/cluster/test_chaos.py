@@ -1,24 +1,28 @@
-"""Cluster chaos: seeded storms hold correct-or-typed through a kill."""
+"""Ring chaos: seeded storms hold correct-or-typed through a shard kill.
+
+The same driver as tests/serve/test_chaos.py, on a three-shard ring.
+"""
 
 from repro.faultline import FaultSpec
-from repro.cluster.chaos import (
+from repro.serve.chaos import (
     DEFAULT_CLUSTER_POINTS,
-    render_cluster_report,
-    run_cluster_chaos,
+    render_report,
+    run_chaos,
 )
 
 
 def _run(seed, **overrides):
+    overrides.setdefault("points", DEFAULT_CLUSTER_POINTS)
     overrides.setdefault("shards", 3)
     overrides.setdefault("requests", 12)
     overrides.setdefault("concurrency", 3)
     overrides.setdefault("workers", 0)
-    return run_cluster_chaos(seed, **overrides)
+    return run_chaos(seed, **overrides)
 
 
 def test_invariant_holds_through_shard_kill():
     report = _run(seed=7)
-    assert report.invariant_ok, render_cluster_report(report)
+    assert report.invariant_ok, render_report(report)
     # the default storm guarantees the kill fires exactly once
     assert report.killed_shard is not None
     assert report.ok_after_kill > 0
@@ -29,7 +33,7 @@ def test_invariant_holds_through_shard_kill():
 
 def test_fault_free_schedule_is_all_ok():
     report = _run(seed=3, points={})
-    assert report.invariant_ok, render_cluster_report(report)
+    assert report.invariant_ok, render_report(report)
     assert report.killed_shard is None
     assert report.ok == report.requests
     assert not report.typed_errors and report.unavailable == 0
@@ -40,7 +44,7 @@ def test_partition_storm_without_kill():
     report = _run(seed=5, points={
         "cluster.net.partition": FaultSpec(probability=0.5),
     })
-    assert report.invariant_ok, render_cluster_report(report)
+    assert report.invariant_ok, render_report(report)
     assert report.killed_shard is None
     assert not report.wrong_results
 
@@ -57,7 +61,7 @@ def test_seeded_runs_reproduce_fault_schedule():
 
 def test_render_mentions_the_kill():
     report = _run(seed=7, requests=9)
-    text = render_cluster_report(report)
+    text = render_report(report)
     assert "invariant: OK" in text
     if report.killed_shard:
         assert report.killed_shard in text

@@ -68,3 +68,18 @@ def test_config_validation():
         ClusterConfig(backend="carrier-pigeon")
     with pytest.raises(ValueError):
         ClusterConfig(replication=0)
+
+
+def test_process_backend_refuses_resilience_it_cannot_forward():
+    from repro.serve.chaos import CHAOS_RESILIENCE
+    from repro.serve.config import ResilienceConfig
+
+    # CHAOS_RESILIENCE tightens the heartbeat and reaper: no serve flag
+    with pytest.raises(ValueError, match="heartbeat_interval"):
+        ClusterConfig(backend="process", resilience=CHAOS_RESILIENCE)
+    # flagged fields and client-side fields pass
+    ClusterConfig(backend="process", resilience=ResilienceConfig(
+        hang_timeout=5.0, breaker_threshold=2, breaker_reset=0.5,
+        inline_fallback=False, max_attempts=2,
+    ))
+    ClusterConfig(backend="thread", resilience=CHAOS_RESILIENCE)

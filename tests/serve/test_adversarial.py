@@ -108,6 +108,26 @@ def test_unknown_analysis_key(make_server, fft_trace):
         assert client.ping()
 
 
+def test_unknown_spec_is_not_echoed_whole(make_server, fft_trace):
+    digest, _blob, _plain = fft_trace
+    handle = make_server(workers=0)
+    spec = "x" * 1_000_000
+    with ServeClient(handle.address) as client:
+        with pytest.raises(RequestFailed) as exc_info:
+            client.submit(spec, digest=digest)
+        assert exc_info.value.code == "UNKNOWN_SPEC"
+        assert "x" * 80 not in exc_info.value.message  # quoted to 80 chars
+        assert len(exc_info.value.message) < 1000
+        with pytest.raises(RequestFailed) as exc_info:
+            client.put_result(digest, spec,
+                              {"instrumented_cycles": 1, "metadata_bytes": 1,
+                               "n_reports": 1})
+        assert exc_info.value.code == "UNKNOWN_SPEC"
+        assert "x" * 80 not in exc_info.value.message
+        assert len(exc_info.value.message) < 1000
+        assert client.ping()
+
+
 def test_corrupt_trace_bytes_rejected(make_server, fft_trace):
     digest, blob, _plain = fft_trace
     # a well-formed trace in the retired version-1 container

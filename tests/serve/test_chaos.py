@@ -1,17 +1,23 @@
-"""Seeded chaos runs: every request is bit-correct or a typed error.
+"""Seeded chaos runs on one shard: every request is bit-correct or typed.
 
 Each test arms a different fault family and asserts the same contract
 (:attr:`ChaosReport.invariant_ok`): no request ever returns a *wrong*
-result, the server outlives the storm (answers ping/stats), and it
-drains cleanly at the end.  Runs are deterministic in their fault
-schedule — a failure reproduces from the printed seed.
+result, the server outlives the storm (answers STATS), and it drains
+cleanly at the end.  Each fault-family test also shows its fault fired.
+Runs are deterministic in their fault schedule — a failure reproduces
+from the printed seed.  Ring-wide storms live in tests/cluster.
 """
 
 import pytest
 
 from repro import faultline
 from repro.faultline import FaultSpec
-from repro.serve.chaos import CHAOS_RESILIENCE, ChaosReport, run_chaos
+from repro.serve.chaos import (
+    CHAOS_RESILIENCE,
+    DEFAULT_CLUSTER_POINTS,
+    ChaosReport,
+    run_chaos,
+)
 from repro.serve.config import ResilienceConfig
 
 from .conftest import needs_fork
@@ -29,7 +35,7 @@ def _assert_invariant(report: ChaosReport):
         f"seed {report.seed} produced WRONG results: {report.wrong_results}"
     )
     assert report.answered == report.requests
-    assert report.server_survived, f"seed {report.seed}: server died"
+    assert report.survivors_alive, f"seed {report.seed}: server died"
     assert report.drained, f"seed {report.seed}: drain failed"
     assert report.invariant_ok
 
@@ -56,6 +62,7 @@ def test_worker_crashes_never_corrupt_results():
     )
     _assert_invariant(report)
     assert report.ok > 0
+    assert report.health["shard0"]["pool"]["restarts"] > 0
 
 
 @needs_fork
@@ -73,30 +80,60 @@ def test_worker_hangs_are_reaped_not_fatal():
     )
     _assert_invariant(report)
     assert report.ok > 0
+    assert report.health["shard0"]["pool"]["hangs"] > 0
 
 
 def test_store_corruption_heals_via_reupload():
-    # skip_first lets the initial ingest+replay land before reads start
-    # failing; every corrupt read must surface typed or heal via a
-    # client re-upload — never as wrong numbers.
+    # Inline replays read the trace once per store and keep it decoded,
+    # so the shard's first reads are the ones a fault can hit.  Every
+    # corrupt read must surface typed or heal via a client re-upload —
+    # never as wrong numbers.
     report = run_chaos(
         seed=505,
-        points={"store.read.corrupt": FaultSpec(probability=0.5, max_fires=3,
-                                                skip_first=2)},
+        points={"store.read.corrupt": FaultSpec(probability=0.5, max_fires=3)},
         requests=12,
+        workers=0,
     )
     _assert_invariant(report)
     assert report.ok > 0
+    assert report.plan_stats["fires"]["store.read.corrupt"] >= 1
+
+
+@pytest.mark.parametrize("max_fires", [1, 2])
+def test_corrupt_upload_heals_digest_first(max_fires):
+    # The shard quarantines its stored trace on the first read and answers
+    # the digest-only probe UNKNOWN_TRACE, so the client uploads.  With a
+    # second fire the shard quarantines the uploaded trace too and answers
+    # UNKNOWN_TRACE to the upload itself: the digest-first rule treats
+    # that as transient and uploads again.
+    report = run_chaos(
+        seed=1,
+        points={"store.read.corrupt": FaultSpec(probability=1.0,
+                                                max_fires=max_fires)},
+        requests=12,
+        workers=0,
+        shards=1,
+    )
+    _assert_invariant(report)
+    assert report.ok == 12
+    assert report.plan_stats["fires"]["store.read.corrupt"] == max_fires
+    assert "UNKNOWN_TRACE" not in report.typed_errors
+    assert report.cluster_counters["healed_uploads"] >= max_fires
 
 
 def test_partial_writes_never_serve_garbage():
+    # The shard already holds the trace, so the storm's only writes are
+    # result records: every one of the first three is torn, and each torn
+    # record must be caught on read and replayed, never served.
     report = run_chaos(
         seed=606,
-        points={"store.write.partial": FaultSpec(probability=0.5, max_fires=3)},
+        points={"store.write.partial": FaultSpec(probability=1.0, max_fires=3)},
         requests=12,
+        workers=0,
     )
     _assert_invariant(report)
     assert report.ok > 0
+    assert report.plan_stats["fires"]["store.write.partial"] >= 1
 
 
 @needs_fork
@@ -123,9 +160,10 @@ def test_degraded_mode_zero_workers_still_serves():
     report = run_chaos(seed=808, points={}, requests=8, workers=0)
     _assert_invariant(report)
     assert report.ok == report.requests
-    assert report.health is not None and report.health["degraded"] is True
-    assert report.health["pool"] is None
-    assert report.health["inline_replays"] >= 1
+    health = report.health["shard0"]
+    assert health is not None and health["degraded"] is True
+    assert health["pool"] is None
+    assert health["inline_replays"] >= 1
 
 
 @needs_fork
@@ -167,6 +205,11 @@ def test_chaos_cli(capsys):
     assert code == 0
     assert "seed=42" in out
     assert "invariant: OK" in out
+
+
+def test_shard_kill_needs_a_ring():
+    with pytest.raises(ValueError):
+        run_chaos(seed=1, points=DEFAULT_CLUSTER_POINTS, requests=4)
 
 
 def test_chaos_resilience_defaults_are_test_sized():
