@@ -12,7 +12,9 @@ trajectory is tracked across changes.
 """
 
 import json
+import os
 import platform
+import statistics
 import time
 
 import pytest
@@ -29,9 +31,9 @@ def _plain_run(module, backend):
     return run
 
 
-def _hooked_run(module, backend):
-    from repro.analyses import uaf
-    analysis = uaf.compile_()
+def _hooked_run(module, backend, spec="uaf.alda"):
+    from repro.exec.pool import build_analysis
+    analysis = build_analysis(spec)
 
     def run():
         vm = Interpreter(module, track_shadow=True, backend=backend)
@@ -73,13 +75,21 @@ def test_multithreaded_scheduling_overhead(benchmark, backend):
     assert profile.instructions > 5_000
 
 
-def _best_of(fn, repeats=5):
-    best = float("inf")
+_REPEATS = 7
+
+
+def _timings_ms(fn, repeats=_REPEATS):
+    samples = []
     for _ in range(repeats):
         start = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+        samples.append((time.perf_counter() - start) * 1e3)
+    return samples
+
+
+def _quartiles(samples):
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return [round(q1, 3), round(median, 3), round(q3, 3)]
 
 
 def test_substrate_bench_artifact():
@@ -99,6 +109,11 @@ def test_substrate_bench_artifact():
          lambda backend: _plain_run(ALL["libquantum"].make_module(1), backend)),
         ("interpreter_with_hooks.bzip2_uaf",
          lambda backend: _hooked_run(ALL["bzip2"].make_module(1), backend)),
+        # fig3's ALDA MSan: every load, store, branch and alloca is hooked,
+        # so this row is dominated by event dispatch.
+        ("interpreter_with_hooks.bzip2_msan",
+         lambda backend: _hooked_run(ALL["bzip2"].make_module(1), backend,
+                                     "msan.alda")),
         ("multithreaded_scheduling.water_ns",
          lambda backend: _plain_run(ALL["water_ns"].make_module(1), backend)),
     ]
@@ -106,17 +121,23 @@ def test_substrate_bench_artifact():
     for name, make in pairs:
         # Warm the stage-1 closure cache out of band.
         make("compiled")()
-        reference_s = _best_of(make("reference"))
-        compiled_s = _best_of(make("compiled"))
+        reference = _timings_ms(make("reference"))
+        compiled = _timings_ms(make("compiled"))
         rows.append({
             "bench": name,
-            "reference_ms": round(reference_s * 1e3, 3),
-            "compiled_ms": round(compiled_s * 1e3, 3),
-            "speedup": round(reference_s / compiled_s, 3),
+            "reference_ms": round(min(reference), 3),
+            "compiled_ms": round(min(compiled), 3),
+            "speedup": round(min(reference) / min(compiled), 3),
+            "reference_quartiles_ms": _quartiles(reference),
+            "compiled_quartiles_ms": _quartiles(compiled),
         })
     payload = {
         "bench": "substrate",
         "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "repeats": _REPEATS,
+        "timing": "per row: best of the repeats (speedup from the bests) "
+                  "and the repeats' quartiles",
         "rows": rows,
     }
     save_artifact("BENCH_substrate.json", json.dumps(payload, indent=2))

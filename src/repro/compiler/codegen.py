@@ -8,8 +8,25 @@ The emitted module defines::
     def make_handlers(RT):          # RT: AnalysisRuntime
         M0 = RT.maps[0]             # one name per coalesced map group
         def h_<handler>(loc, a_<param>...): ...
-        ADAPTERS = [...]            # (position, hook_key, callable)
+        def mk_<N>(kind, operand_regs, result_reg, sizes, result_size, loc):
+            ...                     # per-site constants, then
+            def deliver(tid, shadow, ops, result, seq): ...
+            return deliver
+        def ad_<N>(ctx): ...        # the same insert over an EventContext
+        ad_<N>.bind_site = mk_<N>
+        ADAPTERS = [...]            # (position, hook_key, ad_<N>)
         return {...handlers...}, ADAPTERS
+
+Each insert ``N`` gets two entry points.  ``mk_N`` is its site factory
+(:func:`repro.vm.events.bind_site`): called once per instrumented site,
+it bakes in what is static there (``sizeof($X)``, the registers behind
+``$X.m`` and ``$r.m``, the location) and returns ``deliver``, which the
+compiled VM and trace replay call per event.  ``deliver`` resets the
+runtime's lookup memo once per event ``seq``, as
+:meth:`AnalysisRuntime.begin_event` does, so fused handlers at one event
+still share lookups.  ``ad_N`` takes an
+:class:`~repro.vm.events.EventContext` and is what the reference
+interpreter, the oracle, calls.
 
 Cost accounting: every handler bills its static operation count once per
 invocation (ALDA bodies are loop-free, so the static count bounds the
@@ -23,6 +40,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.alda import ast_nodes as ast
+from repro.alda.printer import print_decl
 from repro.alda.semantics import FuncInfo, ProgramInfo
 from repro.alda.types import INTERNABLE as INTERNABLE_BASES
 from repro.alda.types import SetValue
@@ -338,25 +356,27 @@ class _HandlerCompiler:
         return self.lines
 
 
-def _adapter_arg(arg: ast.CallArg) -> str:
+def _adapter_arg(arg: ast.CallArg, direct: bool) -> str:
+    """One call-arg as ``deliver`` (``direct``) or ``ad_N`` reads it."""
     if arg.base == "p":
         if arg.metadata or arg.sizeof:
             raise CompileError("$p cannot take .m or sizeof")
-        return "*ctx.ops"
+        return "*ops" if direct else "*ctx.ops"
     if arg.base == "t":
-        return "ctx.tid"
+        return "tid" if direct else "ctx.tid"
     if arg.base == "r":
         if arg.sizeof:
-            return "ctx.sizeof('r')"
+            return "result_size" if direct else "ctx.sizeof('r')"
         if arg.metadata:
-            return "ctx.result_shadow"
-        return "ctx.result"
+            # no register name is None, so a result-less site reads 0
+            return "shadow.get(result_reg, 0)" if direct else "ctx.result_shadow"
+        return "result" if direct else "ctx.result"
     index = int(arg.base)
     if arg.sizeof:
-        return f"ctx.sizeof({index})"
+        return f"s{index}" if direct else f"ctx.sizeof({index})"
     if arg.metadata:
-        return f"ctx.operand_shadow({index})"
-    return f"ctx.ops[{index - 1}]"
+        return f"shadow.get(m{index}, 0)" if direct else f"ctx.operand_shadow({index})"
+    return f"ops[{index - 1}]" if direct else f"ctx.ops[{index - 1}]"
 
 
 def generate_module(
@@ -376,6 +396,8 @@ def generate_module(
     ]
     for index, plan in enumerate(layout.groups):
         lines.append(f"    M{index} = RT.maps[{index}]  # {plan.group.name}")
+    if cse_enabled:
+        lines.append("    memo_clear = RT._memo.clear")
     lines.append("")
 
     for func in info.funcs.values():
@@ -385,17 +407,48 @@ def generate_module(
     lines.append("    ADAPTERS = []")
     for position, decl in enumerate(info.inserts):
         handler = info.funcs[decl.handler]
-        args = ", ".join(["ctx.loc"] + [_adapter_arg(arg) for arg in decl.args])
-        call = f"h_{decl.handler}({args})"
-        if handler.ret_type is not None and decl.position == "after":
+        returns = handler.ret_type is not None and decl.position == "after"
+        hook_key = (decl.point_name if decl.point_kind == "inst"
+                    else f"func:{decl.point_name}")
+        numbered = [arg for arg in decl.args if arg.base.isdigit()]
+        # Calls are variadic: a $N past the callee's arguments fails at bind.
+        reads = max((int(arg.base) for arg in numbered if not arg.metadata), default=0)
+        check = ""
+        if reads and (decl.point_kind == "func" or decl.point_name == "CallInst"):
+            check = f"RT.check_operands({print_decl(decl)!r}, {reads}, "
+        lines.append(f"    def mk_{position}(kind, operand_regs, result_reg, sizes, "
+                     "result_size, loc):")
+        if check:
+            lines.append(f"        {check}kind, len(sizes))")
+        for index in sorted({int(arg.base) for arg in numbered if arg.sizeof}):
+            lines.append(f"        s{index} = sizes[{index - 1}]")
+        for index in sorted({int(arg.base) for arg in numbered if arg.metadata}):
+            lines.append(f"        m{index} = operand_regs[{index - 1}] "
+                         f"if len(operand_regs) >= {index} else None")
+        lines.append("        def deliver(tid, shadow, ops, result, seq):")
+        if cse_enabled:
+            lines.append("            if seq != RT._last_event_seq:")
+            lines.append("                RT._last_event_seq = seq")
+            lines.append("                memo_clear()")
+        args = ", ".join(["loc"] + [_adapter_arg(arg, True) for arg in decl.args])
+        if returns:
             # The handler's return value becomes $r's local metadata.
+            lines.append(f"            value = h_{decl.handler}({args})")
+            lines.append("            if result_reg is not None:")
+            lines.append("                shadow[result_reg] = value")
+        else:
+            lines.append(f"            h_{decl.handler}({args})")
+        lines.append("        return deliver")
+        args = ", ".join(["ctx.loc"] + [_adapter_arg(arg, False) for arg in decl.args])
+        call = f"h_{decl.handler}({args})"
+        if returns:
             call = f"ctx.set_result_shadow({call})"
-        hook_key = (
-            decl.point_name if decl.point_kind == "inst" else f"func:{decl.point_name}"
-        )
         lines.append(f"    def ad_{position}(ctx):")
+        if check:
+            lines.append(f"        {check}ctx.kind, len(ctx.ops))")
         lines.append("        RT.begin_event(ctx.seq)")
         lines.append(f"        {call}")
+        lines.append(f"    ad_{position}.bind_site = mk_{position}")
         lines.append(
             f"    ADAPTERS.append(({decl.position!r}, {hook_key!r}, ad_{position}))"
         )

@@ -57,5 +57,9 @@ class CompileError(ReproError):
     """ALDAcc pipeline failure (layout, codegen, or instrumentation)."""
 
 
+class InsertOperandError(CompileError):
+    """An insert reads ``$N`` past the operands its instrumented call has."""
+
+
 class ExternalFunctionError(ReproError):
     """An escape-hatch external function was missing or misbehaved."""

@@ -2,8 +2,9 @@
 
 ``settle`` consumes :class:`~repro.partition.shard.ShardArtifact`\\ s in
 segment order and runs the monolithic replay loop over their records —
-the same handler dispatch, cost billing, shadow dataflow, frame/backtrace
-bookkeeping, and cache interleaving as
+one :class:`~repro.trace.replayer.ReplayState`, so the same handler
+dispatch, cost billing, shadow dataflow, frame/backtrace bookkeeping,
+and cache interleaving as
 :meth:`repro.trace.replayer.TraceReplayer.replay`, minus the decode work
 (done in parallel by the shards) and minus records the shard filter
 proved unobservable.  State *threads through* the artifacts: summary
@@ -30,23 +31,8 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from repro import faultline
 from repro.errors import VMError
-from repro.trace.format import TraceFormatError
-from repro.trace.replayer import (
-    _HANDLER_DISPATCH_CYCLES,
-    _SHADOW_PROP_CYCLES,
-    R_ACCESS,
-    R_DEFAULT,
-    R_EVENT,
-    R_MOV,
-    R_OR2,
-    R_POP,
-    R_PUSH,
-    R_SET0,
-    ReplayVM,
-    _materialize,
-)
+from repro.trace.replayer import ReplayState
 from repro.vm.cache import CacheConfig
-from repro.vm.events import EventContext
 from repro.vm.profile import Profile
 from repro.vm.reporting import Reporter
 
@@ -103,27 +89,10 @@ def settle(
     so decode (workers) and settle (here) overlap in wall-clock.
     """
     started = time.perf_counter()
-    vm = ReplayVM(cache_config)
-    attachables = [_materialize(source) for source in analyses]
-    vm.track_shadow = any(a.needs_shadow for a in attachables)
-    for attachable in attachables:
-        attachable.attach(vm)
-
-    hb = vm.hooks.before
-    ha = vm.hooks.after
-    profile = vm.profile
-    cache_access = vm.cache.access
-    track_shadow = vm.track_shadow
-    count_event = profile.count_event
-    bt_stacks = vm._bt_stacks
-
-    #: serial -> (shadow dict, tid, contributed a backtrace entry)
-    frames = {}
-    next_serial = 0
-    mem_cycles = 0
+    state = ReplayState(analyses, cache_config)
+    profile = state.vm.profile
     records_seen = 0
     events_seen = 0
-    saw_summary = False
     n_shards = 0
     per_shard = []
 
@@ -135,103 +104,20 @@ def settle(
                 artifact, events_before=artifact.events_before + 1
             )
         _check_continuity(artifact, n_shards, records_seen, events_seen,
-                          next_serial)
-        if saw_summary:
+                          state.next_serial)
+        if state.saw_summary:
             raise PartitionMergeError(
                 f"shard {artifact.index} follows the summary record"
             )
         shard_started = time.perf_counter()
         handler_calls_before = profile.handler_calls
-
-        for rec in artifact.records:
-            tag = rec[0]
-
-            if tag == R_ACCESS:
-                mem_cycles += cache_access(rec[1], rec[2])
-
-            elif tag == R_EVENT:
-                kind = rec[2]
-                callbacks = (ha if rec[1] else hb).get(kind)
-                if callbacks:
-                    # Flush program mem_cycles accumulated so far:
-                    # handler bodies bill metadata traffic into the
-                    # same profile.
-                    profile.mem_cycles += mem_cycles
-                    mem_cycles = 0
-                    tid = rec[3]
-                    context = EventContext(
-                        vm,
-                        kind,
-                        tid,
-                        rec[5],
-                        rec[6],
-                        frames[rec[4]][0],
-                        rec[9],
-                        rec[10],
-                        rec[7],
-                        rec[8],
-                        rec[11],
-                        rec[13],
-                    )
-                    vm._bt_top = rec[12]
-                    vm._bt_tid = tid
-                    for callback in callbacks:
-                        profile.handler_calls += 1
-                        profile.instr_cycles += getattr(
-                            callback, "dispatch_cycles",
-                            _HANDLER_DISPATCH_CYCLES,
-                        )
-                        count_event(kind)
-                        callback(context)
-
-            elif tag == R_OR2:
-                if track_shadow:
-                    shadow = frames[rec[1]][0]
-                    meta = shadow.get(rec[3], 0) if rec[3] is not None else 0
-                    if rec[4] is not None:
-                        meta |= shadow.get(rec[4], 0)
-                    shadow[rec[2]] = meta
-                    profile.instr_cycles += _SHADOW_PROP_CYCLES
-
-            elif tag == R_SET0:
-                if track_shadow:
-                    frames[rec[1]][0][rec[2]] = 0
-
-            elif tag == R_DEFAULT:
-                if track_shadow:
-                    frames[rec[1]][0].setdefault(rec[2], 0)
-
-            elif tag == R_MOV:
-                if track_shadow:
-                    value = 0
-                    if rec[4] is not None:
-                        value = frames[rec[3]][0].get(rec[4], 0)
-                    frames[rec[1]][0][rec[2]] = value
-
-            elif tag == R_PUSH:
-                tid, entry = rec[1], rec[2]
-                frames[next_serial] = ({}, tid, entry is not None)
-                if entry is not None:
-                    bt_stacks.setdefault(tid, []).append(entry)
-                next_serial += 1
-
-            elif tag == R_POP:
-                _, _, has_entry = frames.pop(rec[1])
-                if has_entry:
-                    bt_stacks[rec[2]].pop()
-
-            else:  # R_SUMMARY
-                profile.base_cycles += rec[1]
-                profile.instructions += rec[2]
-                profile.heap_peak_bytes = rec[4]
-                saw_summary = True
-
+        state.run(artifact.records)
         records_seen += artifact.n_records
         events_seen += artifact.n_events
-        if next_serial != artifact.next_serial_before + artifact.n_pushes:
+        if state.next_serial != artifact.next_serial_before + artifact.n_pushes:
             raise PartitionMergeError(
                 f"shard {artifact.index} pushed "
-                f"{next_serial - artifact.next_serial_before} frames, "
+                f"{state.next_serial - artifact.next_serial_before} frames, "
                 f"claimed {artifact.n_pushes}"
             )
         n_shards += 1
@@ -243,10 +129,7 @@ def settle(
             "settle_seconds": time.perf_counter() - shard_started,
         })
 
-    if not saw_summary:
-        raise TraceFormatError("trace has no summary record (truncated?)")
-    profile.mem_cycles += mem_cycles
-    profile.cache = vm.cache.stats
+    profile, reporter = state.finish()
     stats = {
         "shards": n_shards,
         "records": records_seen,
@@ -254,7 +137,7 @@ def settle(
         "merge_seconds": time.perf_counter() - started,
         "per_shard": per_shard,
     }
-    return profile, vm.reporter, stats
+    return profile, reporter, stats
 
 
 __all__ = [

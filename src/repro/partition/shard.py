@@ -97,14 +97,11 @@ def decode_slice(
 
     Runs the one trace decoder, :func:`repro.trace.replayer.decode`,
     seeded with the shard snapshot: the string table starts from
-    ``strings``, access addresses resolve against ``last_address``, and
-    every surviving event record gains a trailing absolute ``seq``
-    element (index 13).  ``fire_before``/``fire_after`` of ``None`` keep
-    every event.
+    ``strings`` and access addresses resolve against ``last_address``.
+    ``fire_before``/``fire_after`` of ``None`` keep every event.
     """
     records, n_events, n_pushes, n_filtered, saw_summary = decode(
-        payload, strings, last_address, events_before,
-        fire_before, fire_after, keep_shadow,
+        payload, strings, last_address, fire_before, fire_after, keep_shadow,
     )
     return ShardArtifact(
         index=index,

@@ -51,7 +51,7 @@ from repro import faultline
 from repro.exec.pool import ANALYSIS_SPECS, analysis_fingerprint
 from repro.exec.workers import PersistentWorkerPool, TaskError, WorkerCrashError
 from repro.trace.format import TraceFormatError, TraceReader
-from repro.trace.store import StoreCorruptionError, TraceStore, integrity_stats
+from repro.trace.store import StoreCorruptionError, TraceStore
 
 from repro.serve import protocol
 from repro.serve.config import ResilienceConfig
@@ -530,7 +530,7 @@ class AnalysisServer:
                          if self.scheduler is not None else False),
             "faultline": faultline.stats(),
             "store": {
-                **integrity_stats(),
+                **self.store.integrity_stats(),
                 "quarantined": len(self.store.quarantined_entries()),
             },
         }

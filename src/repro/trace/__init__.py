@@ -30,12 +30,7 @@ from repro.trace.format import (
 )
 from repro.trace.recorder import TraceRecorder, record_workload
 from repro.trace.replayer import ReplayVM, TraceReplayer
-from repro.trace.store import (
-    StoreCorruptionError,
-    TraceStore,
-    integrity_stats,
-    module_digest,
-)
+from repro.trace.store import StoreCorruptionError, TraceStore, module_digest
 
 __all__ = [
     "DEFAULT_SEGMENT_TARGET",
@@ -48,6 +43,5 @@ __all__ = [
     "ReplayVM",
     "TraceReplayer",
     "TraceStore",
-    "integrity_stats",
     "module_digest",
 ]

@@ -184,8 +184,6 @@ class TraceWriter:
         self._compress = zlib.compressobj(6)
         self._sha = hashlib.sha256()
         self._strings: Dict[str, int] = {}
-        #: event site (loc, sizes, result size, regs) -> its tail bytes
-        self._sites: Dict[tuple, bytes] = {}
         self._last_address = 0
         self._next_serial = 0
         self.n_events = 0
@@ -290,14 +288,18 @@ class TraceWriter:
         return ident
 
     # -- records -------------------------------------------------------
-    def _event_tail(self, loc: str, sizes: Tuple[int, ...], result_size: int,
-                    operand_regs: Tuple[Optional[str], ...],
-                    result_reg: Optional[str]) -> bytes:
-        """Intern one event site's strings and return its tail bytes.
+    @staticmethod
+    def site(operand_regs: Tuple[Optional[str], ...], result_reg: Optional[str],
+             sizes: Tuple[int, ...], result_size: int, loc: str) -> list:
+        """A recording site for :meth:`event`: its static fields plus a
+        slot for its tail bytes, filled in by the site's first event."""
+        return [operand_regs, result_reg, sizes, result_size, loc, None]
 
-        The tail (sizes, result size, operand/result register ids, loc
-        id) depends only on the site, so :meth:`event` caches it.
-        """
+    def _event_tail(self, operand_regs: Tuple[Optional[str], ...],
+                    result_reg: Optional[str], sizes: Tuple[int, ...],
+                    result_size: int, loc: str) -> bytes:
+        """Intern one event site's strings and return its tail bytes
+        (sizes, result size, operand/result register ids, loc id)."""
         loc_id = self.intern(loc)
         reg_ids = [0 if reg is None else self.intern(reg) + 1 for reg in operand_regs]
         result_reg_id = 0 if result_reg is None else self.intern(result_reg) + 1
@@ -314,13 +316,10 @@ class TraceWriter:
         frame_serial: int,
         ops: Tuple[int, ...],
         result: Optional[int],
-        sizes: Tuple[int, ...],
-        result_size: int,
-        operand_regs: Tuple[Optional[str], ...],
-        result_reg: Optional[str],
-        loc: str,
+        site: list,
         bt_top: str,
     ) -> None:
+        """One event at ``site`` (see :meth:`site`)."""
         if not after:
             self._maybe_cut(soft=True)
         # Intern order (kind, loc, operand regs, result reg, bt) is part
@@ -328,10 +327,10 @@ class TraceWriter:
         kind_id = self._strings.get(kind)
         if kind_id is None:
             kind_id = self.intern(kind)
-        key = (loc, sizes, result_size, operand_regs, result_reg)
-        tail = self._sites.get(key)
+        tail = site[5]
         if tail is None:
-            tail = self._sites[key] = self._event_tail(*key)
+            tail = site[5] = self._event_tail(*site[:5])
+        loc = site[4]
         flags = EVF_AFTER if after else 0
         if result is not None:
             flags |= EVF_HAS_RESULT

@@ -83,31 +83,29 @@ class TraceRecorder(ExecutionTracer):
     # -- event capture -------------------------------------------------
     def _make_callback(self, vm: Interpreter, after: bool):
         event = self._writer.event
+        new_site = self._writer.site
         serials = self._serials
         bt_entry = vm._bt_entry
 
-        def callback(ctx):
-            # The top entry of ``vm.backtrace(1)``, without the tuple.
-            thread = vm._current_thread
-            if thread is not None and thread.frames:
-                top = bt_entry(thread.frames[-1])
-            else:
-                top = ctx.loc
-            event(
-                after,
-                ctx.kind,
-                ctx.tid,
-                serials[id(ctx.shadow_regs)],
-                ctx.ops,
-                ctx.result,
-                ctx.sizes,
-                ctx.result_size,
-                ctx.operand_regs,
-                ctx.result_reg,
-                ctx.loc,
-                top,
-            )
+        def bind_site(kind, operand_regs, result_reg, sizes, result_size, loc):
+            site = new_site(operand_regs, result_reg, sizes, result_size, loc)
 
+            def record(tid, shadow, ops, result, seq):
+                # The top entry of ``vm.backtrace(1)``, without the tuple.
+                thread = vm._current_thread
+                if thread is not None and thread.frames:
+                    top = bt_entry(thread.frames[-1])
+                else:
+                    top = loc
+                event(after, kind, tid, serials[id(shadow)], ops, result, site, top)
+            return record
+
+        def callback(ctx):  # the reference interpreter's context path
+            bind_site(ctx.kind, ctx.operand_regs, ctx.result_reg, ctx.sizes,
+                      ctx.result_size, ctx.loc)(ctx.tid, ctx.shadow_regs, ctx.ops,
+                                                ctx.result, ctx.seq)
+
+        callback.bind_site = bind_site
         # The recorder is pure observation: bill nothing to the profile.
         callback.dispatch_cycles = 0
         return callback

@@ -14,8 +14,9 @@ replay reproduces the inline cost model bit-for-bit:
   metadata traffic through, in the same interleaved order as inline, so
   cache pollution effects are reproduced exactly;
 * handler dispatch, handler bodies, and metadata-structure costs are
-  billed by actually running the handlers, exactly as
-  ``Interpreter._fire`` would;
+  billed by actually running the handlers, through the same site binder
+  (:func:`repro.vm.events.bind_site`) as the compiled VM, bound once per
+  distinct decoded site;
 * the local-metadata plane is reconstructed from the recorded shadow
   dataflow ops (applied only when an attached analysis needs shadow,
   mirroring ``track_shadow``), including the per-op
@@ -36,7 +37,8 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.vm.cache import CacheConfig, CacheSim
-from repro.vm.events import EventContext, Hooks
+from repro.vm.events import Hooks, bind_site
+from repro.vm.interpreter import _SHADOW_PROP_CYCLES
 from repro.vm.profile import Profile
 from repro.vm.reporting import Reporter
 
@@ -58,10 +60,6 @@ from repro.trace.format import (
     TraceReader,
     read_varint,
 )
-
-# Mirrors repro.vm.interpreter's constants; replay must bill identically.
-_HANDLER_DISPATCH_CYCLES = 2
-_SHADOW_PROP_CYCLES = 1
 
 # Decoded-record tags (first tuple element).
 R_ACCESS = 0
@@ -90,6 +88,7 @@ class ReplayVM:
         self.profile = Profile()
         self.reporter = Reporter(self.profile)
         self.track_shadow = False
+        self._fire_seq = 0
         # Current-event backtrace state, maintained by the replay loop.
         self._bt_top = ""
         self._bt_tid = 0
@@ -127,14 +126,13 @@ def _decode_tail(buf: bytes, pos: int, table: List[str]) -> Tuple[tuple, int]:
     result_reg_id, pos = read_varint(buf, pos)
     loc_id, pos = read_varint(buf, pos)
     result_reg = None if result_reg_id == 0 else table[result_reg_id - 1]
-    return (tuple(sizes), result_size, tuple(regs), result_reg, table[loc_id]), pos
+    return (tuple(regs), result_reg, tuple(sizes), result_size, table[loc_id]), pos
 
 
 def decode(
     payload: bytes,
     strings: Sequence[str] = (),
     last_address: int = 0,
-    events_before: Optional[int] = None,
     fire_before: Optional[FrozenSet[str]] = None,
     fire_after: Optional[FrozenSet[str]] = None,
     keep_shadow: bool = True,
@@ -142,8 +140,12 @@ def decode(
     """The trace decoder: one pass over a varint payload into record tuples.
 
     Strings are interned to Python objects, access-address deltas are
-    resolved to absolute addresses, and event operand/size lists become
+    resolved to absolute addresses, and event operand lists become
     tuples — everything a replay pass would otherwise redo per analysis.
+    An event record is ``(R_EVENT, after, kind, tid, frame serial, ops,
+    result, site, bt_top)``; its ``site`` is the tuple ``(operand regs,
+    result reg, sizes, result size, loc)`` that replay binds subscribers
+    to.
     :meth:`repro.trace.format.TraceReader.records` is the plain reference
     this must agree with.  Nearly every field is a one-byte varint, read
     inline; :func:`read_varint` is the slow path for longer ones.  An
@@ -151,11 +153,9 @@ def decode(
     recording site, so its decoded fields are cached by its bytes.
 
     A payload slice decodes standalone when seeded with the string table
-    and last access address at its first record.  With ``events_before``
-    set (partitioned replay), each kept event gains a trailing absolute
-    ``seq`` element, events whose kind is not in ``fire_before`` /
-    ``fire_after`` (when given) are dropped, and so are shadow records
-    unless ``keep_shadow``.
+    and last access address at its first record.  For partitioned replay,
+    events whose kind is not in ``fire_before`` / ``fire_after`` (when
+    given) are dropped, and so are shadow records unless ``keep_shadow``.
 
     Returns ``(records, n_events, n_pushes, n_filtered, saw_summary)``.
     Malformed input raises :class:`TraceFormatError` with its offset.
@@ -168,7 +168,7 @@ def decode(
     append = records.append
     #: one-byte-field tail bytes -> decoded tail fields
     tails: Dict[bytes, tuple] = {}
-    slicing = events_before is not None
+    filtering = fire_before is not None
     n_events = n_pushes = n_filtered = 0
     saw_summary = False
 
@@ -226,8 +226,7 @@ def decode(
                         tails[raw] = tail
                 else:
                     pos = tail_end
-                sizes, result_size, operand_regs, result_reg, loc = tail
-                bt_top = loc
+                bt_top = tail[4]
                 if flags & EVF_HAS_BT:
                     value = buf[pos]
                     pos += 1
@@ -236,16 +235,12 @@ def decode(
                     bt_top = table[value]
                 kind = table[kind_id]
                 n_events += 1
-                event = (R_EVENT, (flags & EVF_AFTER) != 0, kind, tid, frame_serial,
-                         tuple(ops), result, sizes, result_size, operand_regs,
-                         result_reg, loc, bt_top)
-                if slicing:
-                    firing = fire_after if flags & EVF_AFTER else fire_before
-                    if firing is not None and kind not in firing:
-                        n_filtered += 1
-                        continue
-                    event += (events_before + n_events,)
-                append(event)
+                if filtering and kind not in (
+                        fire_after if flags & EVF_AFTER else fire_before):
+                    n_filtered += 1
+                    continue
+                append((R_EVENT, (flags & EVF_AFTER) != 0, kind, tid, frame_serial,
+                        tuple(ops), result, tail, bt_top))
 
             elif op == OP_ACCESS:
                 value = buf[pos]
@@ -329,93 +324,64 @@ def decode(
     return records, n_events, n_pushes, n_filtered, saw_summary
 
 
-class TraceReplayer:
-    """Replays one trace through one or more attachable analyses.
+class ReplayState:
+    """One replay in progress: the attach surface and the stream state
+    (live frames, pending program ``mem_cycles``, bound sites) that
+    threads through one record list, or through the slices of a
+    partitioned trace in order."""
 
-    Reuse one instance to replay several analyses over the same trace:
-    the decoded record list is built lazily and cached.
-    """
-
-    def __init__(self, trace: Union[TraceReader, bytes]) -> None:
-        self.trace = trace if isinstance(trace, TraceReader) else TraceReader(trace)
-        self._records: Optional[List[tuple]] = None
-
-    @property
-    def records(self) -> List[tuple]:
-        if self._records is None:
-            self._records = decode(self.trace.payload)[0]
-        return self._records
-
-    def replay(
-        self,
-        analyses: Sequence[object],
-        cache_config: Optional[CacheConfig] = None,
-    ) -> Tuple[Profile, Reporter]:
-        """Fire the recorded event stream through ``analyses``.
-
-        Returns ``(profile, reporter)`` exactly as an inline
-        ``run_instrumented`` call would have.
-        """
-        vm = ReplayVM(cache_config)
+    def __init__(self, analyses: Sequence[object],
+                 cache_config: Optional[CacheConfig] = None) -> None:
+        vm = self.vm = ReplayVM(cache_config)
         attachables = [_materialize(source) for source in analyses]
         vm.track_shadow = any(a.needs_shadow for a in attachables)
         for attachable in attachables:
             attachable.attach(vm)
+        vm.hooks.bound = True
+        #: [after][hooked kind] -> {decoded site: bound fire}
+        self._sites = tuple({kind: {} for kind in table}
+                            for table in (vm.hooks.before, vm.hooks.after))
+        #: serial -> (shadow dict, tid, contributed a backtrace entry)
+        self.frames: Dict[int, tuple] = {}
+        self.next_serial = 0
+        self.mem_cycles = 0
+        self.saw_summary = False
 
-        hb = vm.hooks.before
-        ha = vm.hooks.after
+    def run(self, records: Sequence[tuple]) -> None:
+        """Fire one list of decoded records through the analyses."""
+        vm = self.vm
         profile = vm.profile
         cache_access = vm.cache.access
         track_shadow = vm.track_shadow
-        count_event = profile.count_event
         bt_stacks = vm._bt_stacks
+        hooks = (vm.hooks.before, vm.hooks.after)
+        sites = self._sites
+        frames = self.frames
+        next_serial = self.next_serial
+        mem_cycles = self.mem_cycles
 
-        #: serial -> (shadow dict, tid, contributed a backtrace entry)
-        frames = {}
-        next_serial = 0
-        mem_cycles = 0
-        seq = 0
-        saw_summary = False
-
-        for rec in self.records:
+        for rec in records:
             tag = rec[0]
 
             if tag == R_ACCESS:
                 mem_cycles += cache_access(rec[1], rec[2])
 
             elif tag == R_EVENT:
-                seq += 1
-                kind = rec[2]
-                callbacks = (ha if rec[1] else hb).get(kind)
-                if callbacks:
+                bound = sites[rec[1]].get(rec[2])
+                if bound is not None:
+                    site = rec[7]
+                    fire = bound.get(site)
+                    if fire is None:
+                        fire = bound[site] = bind_site(
+                            vm, hooks[rec[1]][rec[2]], rec[2], *site)
                     # Flush program mem_cycles accumulated so far: handler
                     # bodies bill metadata traffic into the same profile.
                     profile.mem_cycles += mem_cycles
                     mem_cycles = 0
                     tid = rec[3]
-                    context = EventContext(
-                        vm,
-                        kind,
-                        tid,
-                        rec[5],
-                        rec[6],
-                        frames[rec[4]][0],
-                        rec[9],
-                        rec[10],
-                        rec[7],
-                        rec[8],
-                        rec[11],
-                        seq,
-                    )
-                    vm._bt_top = rec[12]
+                    vm._bt_top = rec[8]
                     vm._bt_tid = tid
-                    for callback in callbacks:
-                        profile.handler_calls += 1
-                        profile.instr_cycles += getattr(
-                            callback, "dispatch_cycles", _HANDLER_DISPATCH_CYCLES
-                        )
-                        count_event(kind)
-                        callback(context)
+                    fire(tid, frames[rec[4]][0], rec[5], rec[6])
 
             elif tag == R_OR2:
                 if track_shadow:
@@ -457,10 +423,48 @@ class TraceReplayer:
                 profile.base_cycles += rec[1]
                 profile.instructions += rec[2]
                 profile.heap_peak_bytes = rec[4]
-                saw_summary = True
+                self.saw_summary = True
 
-        if not saw_summary:
+        self.next_serial = next_serial
+        self.mem_cycles = mem_cycles
+
+    def finish(self) -> Tuple[Profile, Reporter]:
+        """The replayed ``(profile, reporter)``, once the summary was seen."""
+        if not self.saw_summary:
             raise TraceFormatError("trace has no summary record (truncated?)")
-        profile.mem_cycles += mem_cycles
-        profile.cache = vm.cache.stats
-        return profile, vm.reporter
+        profile = self.vm.profile
+        profile.mem_cycles += self.mem_cycles
+        profile.cache = self.vm.cache.stats
+        return profile, self.vm.reporter
+
+
+class TraceReplayer:
+    """Replays one trace through one or more attachable analyses.
+
+    Reuse one instance to replay several analyses over the same trace:
+    the decoded record list is built lazily and cached.
+    """
+
+    def __init__(self, trace: Union[TraceReader, bytes]) -> None:
+        self.trace = trace if isinstance(trace, TraceReader) else TraceReader(trace)
+        self._records: Optional[List[tuple]] = None
+
+    @property
+    def records(self) -> List[tuple]:
+        if self._records is None:
+            self._records = decode(self.trace.payload)[0]
+        return self._records
+
+    def replay(
+        self,
+        analyses: Sequence[object],
+        cache_config: Optional[CacheConfig] = None,
+    ) -> Tuple[Profile, Reporter]:
+        """Fire the recorded event stream through ``analyses``.
+
+        Returns ``(profile, reporter)`` exactly as an inline
+        ``run_instrumented`` call would have.
+        """
+        state = ReplayState(analyses, cache_config)
+        state.run(self.records)
+        return state.finish()

@@ -32,6 +32,7 @@ the same checks over a whole store offline.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -40,7 +41,7 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Dict, Optional, Union
 
 from repro import faultline
 from repro.errors import VMError
@@ -65,21 +66,12 @@ class StoreCorruptionError(VMError):
         self.reason = reason
 
 
-# Process-wide integrity counters (TraceStore instances are created ad
-# hoc per call site, so per-instance counters would never accumulate).
+# This process's integrity counters, keyed by store root: TraceStore
+# instances are created ad hoc, so per-instance counters never accumulate.
 _integrity_lock = threading.Lock()
-_integrity = {"verified_reads": 0, "corrupt_detected": 0, "quarantined": 0}
-
-
-def _bump(name: str) -> None:
-    with _integrity_lock:
-        _integrity[name] += 1
-
-
-def integrity_stats() -> dict:
-    """Verified-read / corruption / quarantine counters for this process."""
-    with _integrity_lock:
-        return dict(_integrity)
+_integrity: Dict[str, Dict[str, int]] = {}
+_COUNTERS = ("verified_reads", "corrupt_detected", "quarantined")
+_resolved = functools.lru_cache(maxsize=1024)(os.path.realpath)  # once per root
 
 
 #: What :attr:`TraceReader.digest` produces: a lowercase hex SHA-256.
@@ -134,6 +126,20 @@ class TraceStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         (self.root / "results").mkdir(exist_ok=True)
+        self._counters_key = _resolved(str(self.root))
+
+    def _bump(self, name: str) -> None:
+        with _integrity_lock:
+            counters = _integrity.setdefault(self._counters_key,
+                                             dict.fromkeys(_COUNTERS, 0))
+            counters[name] += 1
+
+    def integrity_stats(self) -> dict:
+        """Verified-read / corruption / quarantine counters of this
+        store's root, in this process."""
+        with _integrity_lock:
+            return dict(_integrity.get(self._counters_key)
+                        or dict.fromkeys(_COUNTERS, 0))
 
     # -- integrity -----------------------------------------------------
     @property
@@ -167,7 +173,7 @@ class TraceStore:
             "reason": reason,
             "quarantined_at": time.time(),
         }, sort_keys=True).encode("utf-8")))
-        _bump("quarantined")
+        self._bump("quarantined")
         return target
 
     def prune_quarantine(self, max_age_seconds: float = 0.0,
@@ -233,21 +239,21 @@ class TraceStore:
         try:
             reader = TraceReader(data)
         except TraceFormatError as exc:
-            _bump("corrupt_detected")
+            self._bump("corrupt_detected")
             self.quarantine(path, f"unreadable: {exc}")
             raise StoreCorruptionError(path, str(exc)) from None
         if not reader.verify():
-            _bump("corrupt_detected")
+            self._bump("corrupt_detected")
             reason = "payload does not match its recorded digest"
             self.quarantine(path, reason)
             raise StoreCorruptionError(path, reason)
         if expect_digest is not None and reader.digest != expect_digest:
-            _bump("corrupt_detected")
+            self._bump("corrupt_detected")
             reason = (f"content digest {reader.digest[:16]}... does not match "
                       f"its address {expect_digest[:16]}...")
             self.quarantine(path, reason)
             raise StoreCorruptionError(path, reason)
-        _bump("verified_reads")
+        self._bump("verified_reads")
         return reader
 
     # -- traces --------------------------------------------------------
@@ -316,7 +322,7 @@ class TraceStore:
         try:
             return TraceReader.read_tail_meta(path)
         except TraceFormatError as exc:
-            _bump("corrupt_detected")
+            self._bump("corrupt_detected")
             self.quarantine(path, f"unreadable tail: {exc}")
             raise StoreCorruptionError(path, str(exc)) from None
 
@@ -340,10 +346,10 @@ class TraceStore:
         try:
             raw = decompress_segment(blob, entry)
         except TraceFormatError as exc:
-            _bump("corrupt_detected")
+            self._bump("corrupt_detected")
             self.quarantine(path, f"segment at offset {entry['offset']}: {exc}")
             raise StoreCorruptionError(path, str(exc)) from None
-        _bump("verified_reads")
+        self._bump("verified_reads")
         return raw
 
     def has_trace(self, workload: Workload, scale: int = 1) -> bool:
@@ -426,11 +432,11 @@ class TraceStore:
         except OSError:
             return None  # missing or mid-replace: plain cache miss
         except ValueError:
-            _bump("corrupt_detected")
+            self._bump("corrupt_detected")
             self.quarantine(path, "result is not valid JSON")
             return None
         if not isinstance(payload, dict):
-            _bump("corrupt_detected")
+            self._bump("corrupt_detected")
             self.quarantine(path, "result is not a JSON object")
             return None
         if "record" not in payload:
@@ -438,10 +444,10 @@ class TraceStore:
         record = payload["record"]
         if (not isinstance(record, dict)
                 or payload.get("sha256") != self._record_sha(record)):
-            _bump("corrupt_detected")
+            self._bump("corrupt_detected")
             self.quarantine(path, "result record does not match its sha256")
             return None
-        _bump("verified_reads")
+        self._bump("verified_reads")
         return record
 
     def load_result(self, key: str) -> Optional[dict]:
@@ -483,7 +489,7 @@ class TraceStore:
                                       "reason": reason})
             if repair:
                 self.quarantine(path, reason)
-                _bump("corrupt_detected")
+                self._bump("corrupt_detected")
 
         def _verify_trace(path: Path):
             try:

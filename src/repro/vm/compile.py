@@ -41,12 +41,11 @@ shadow metadata, reports (including locations and backtraces), and event
 sequence numbers match exactly.  ``tests/vm/test_backends.py`` enforces
 this differentially across every workload and every bundled analysis.
 
-One deliberate restriction: the compiled backend snapshots the hook
-table, tracer, and ``track_shadow`` flag when ``run()`` first binds the
-module.  Registering hooks for a *new* event kind mid-run is not seen
-(appending to an already-registered kind's list is).  All bundled
-analyses attach before ``run()``, which is also what
-:meth:`Interpreter.set_tracer` already requires.
+Every hooked site binds its subscribers at bind time
+(:func:`repro.vm.events.bind_site`) and calls the one ``fire(tid,
+shadow, ops, result)`` it gets back.  So the hook table, tracer, and
+``track_shadow`` flag are snapshotted when ``run()`` first binds the
+module; :meth:`Hooks.add` raises after that instead of being missed.
 """
 
 from __future__ import annotations
@@ -71,14 +70,13 @@ from repro.ir.instructions import (
 )
 from repro.ir.module import Module
 from repro.vm.cache import CacheSim
-from repro.vm.events import EventContext
+from repro.vm.events import bind_site
 from repro.vm.interpreter import (
     _BLOCKED_JOIN,
     _CALL_CYCLES,
     _DONE,
     _EIGHT,
     _EIGHT_EIGHT,
-    _HANDLER_DISPATCH_CYCLES,
     _MASK64,
     _RUNNABLE,
     _SHADOW_PROP_CYCLES,
@@ -227,7 +225,7 @@ class _Binder:
 
     __slots__ = (
         "vm", "profile", "memory", "cache_access", "track_shadow",
-        "tracer", "before", "after", "fire", "code", "entries", "elide",
+        "tracer", "before", "after", "code", "entries", "elide",
     )
 
     def __init__(self, vm: Interpreter) -> None:
@@ -241,7 +239,6 @@ class _Binder:
         self.tracer = vm._tracer
         self.before = vm.hooks.before
         self.after = vm.hooks.after
-        self.fire = _make_fire(vm)
         #: (function name, block label) -> the shared list object the
         #: block's closures live in; created empty up front so branch
         #: emitters can capture targets before they are filled.
@@ -265,6 +262,12 @@ class _Binder:
             if "after" in suppressed:
                 ha = None
         return hb, ha
+
+    def site(self, callbacks, kind: str, operand_regs, result_reg, sizes,
+             result_size: int, loc: str):
+        """One site's bound ``fire(tid, shadow, ops, result)``, or None."""
+        return bind_site(self.vm, callbacks, kind, operand_regs, result_reg,
+                         sizes, result_size, loc)
 
 
 def bind_module(vm: Interpreter,
@@ -292,30 +295,6 @@ def bind_module(vm: Interpreter,
                     step.loc = raw_loc
                 out.append(step)
     return binder.entries
-
-
-def _make_fire(vm: Interpreter):
-    """Per-VM event dispatcher, semantically identical to
-    :meth:`Interpreter._fire` minus the per-step operand_regs/loc
-    derivation (those are closure constants here)."""
-    profile = vm.profile
-
-    def fire(callbacks, kind, thread, frame, ops, result, operand_regs,
-             result_reg, sizes, result_size, loc):
-        vm._fire_seq += 1
-        context = EventContext(
-            vm, kind, thread.tid, ops, result, frame.shadow,
-            operand_regs, result_reg, sizes, result_size, loc, vm._fire_seq,
-        )
-        for callback in callbacks:
-            profile.handler_calls += 1
-            profile.instr_cycles += getattr(
-                callback, "dispatch_cycles", _HANDLER_DISPATCH_CYCLES
-            )
-            profile.count_event(kind)
-            callback(context)
-
-    return fire
 
 
 def _make_finish(b: _Binder, result_reg: Optional[str]):
@@ -455,7 +434,7 @@ def _emit_const(instr: Const, fname: str, label: str, index: int, module: Module
             def step(thread, frame):
                 frame.regs[result] = value
             return step
-        fire = b.fire
+        fire_a = b.site(ha, "ConstInst", _NONE1, result, _EIGHT, 8, loc)
 
         def step(thread, frame):
             frame.ip = nxt
@@ -465,9 +444,8 @@ def _emit_const(instr: Const, fname: str, label: str, index: int, module: Module
                 shadow[result] = 0
                 if tracer is not None:
                     tracer.shadow_set0(shadow, result)
-            if ha is not None:
-                fire(ha, "ConstInst", thread, frame, ops, value,
-                     _NONE1, result, _EIGHT, 8, loc)
+            if fire_a is not None:
+                fire_a(thread.tid, frame.shadow, ops, value)
         return step
 
     return bind, instr.loc
@@ -531,7 +509,8 @@ def _emit_binop(instr: BinOp, fname: str, label: str, index: int, module: Module
                 def step(thread, frame):
                     frame.regs[result] = opfunc(lhs, rhs)
             return step
-        fire = b.fire
+        fire_b = b.site(hb, "BinaryOperator", operand_regs, result, _EIGHT_EIGHT, 8, loc)
+        fire_a = b.site(ha, "BinaryOperator", operand_regs, result, _EIGHT_EIGHT, 8, loc)
         profile = b.profile
 
         def step(thread, frame):
@@ -540,9 +519,8 @@ def _emit_binop(instr: BinOp, fname: str, label: str, index: int, module: Module
             a = regs[lhs] if lreg else lhs
             bv = regs[rhs] if rreg else rhs
             value = opfunc(a, bv)  # may raise, matching reference order
-            if hb is not None:
-                fire(hb, "BinaryOperator", thread, frame, (a, bv), None,
-                     operand_regs, result, _EIGHT_EIGHT, 8, loc)
+            if fire_b is not None:
+                fire_b(thread.tid, frame.shadow, (a, bv), None)
             regs[result] = value
             if shadow_on:
                 shadow = frame.shadow
@@ -556,9 +534,8 @@ def _emit_binop(instr: BinOp, fname: str, label: str, index: int, module: Module
                         shadow, result,
                         lhs if lreg else None, rhs if rreg else None,
                     )
-            if ha is not None:
-                fire(ha, "BinaryOperator", thread, frame, (a, bv), value,
-                     operand_regs, result, _EIGHT_EIGHT, 8, loc)
+            if fire_a is not None:
+                fire_a(thread.tid, frame.shadow, (a, bv), value)
         return step
 
     return bind, instr.loc
@@ -615,7 +592,7 @@ def _emit_cmp(instr: Cmp, fname: str, label: str, index: int, module: Module) ->
                 def step(thread, frame):
                     frame.regs[result] = cmpfunc(lhs, rhs)
             return step
-        fire = b.fire
+        fire_a = b.site(ha, "CmpInst", operand_regs, result, _EIGHT_EIGHT, 8, loc)
         profile = b.profile
 
         def step(thread, frame):
@@ -637,9 +614,8 @@ def _emit_cmp(instr: Cmp, fname: str, label: str, index: int, module: Module) ->
                         shadow, result,
                         lhs if lreg else None, rhs if rreg else None,
                     )
-            if ha is not None:
-                fire(ha, "CmpInst", thread, frame, (a, bv), value,
-                     operand_regs, result, _EIGHT_EIGHT, 8, loc)
+            if fire_a is not None:
+                fire_a(thread.tid, frame.shadow, (a, bv), value)
         return step
 
     return bind, instr.loc
@@ -704,15 +680,15 @@ def _emit_load(instr: Load, fname: str, label: str, index: int, module: Module) 
                     profile.mem_cycles += cache_access(address_op, size)
                     frame.regs[result] = memory_read(address_op, size)
             return step
-        fire = b.fire
+        fire_b = b.site(hb, "LoadInst", operand_regs, result, _EIGHT, size, loc)
+        fire_a = b.site(ha, "LoadInst", operand_regs, result, _EIGHT, size, loc)
 
         def step(thread, frame):
             frame.ip = nxt
             regs = frame.regs
             address = regs[address_op] if areg else address_op
-            if hb is not None:
-                fire(hb, "LoadInst", thread, frame, (address,), None,
-                     operand_regs, result, _EIGHT, size, loc)
+            if fire_b is not None:
+                fire_b(thread.tid, frame.shadow, (address,), None)
             profile.mem_cycles += cache_access(address, size)
             value = memory_read(address, size)
             regs[result] = value
@@ -721,9 +697,8 @@ def _emit_load(instr: Load, fname: str, label: str, index: int, module: Module) 
                 shadow[result] = 0
                 if tracer is not None:
                     tracer.shadow_set0(shadow, result)
-            if ha is not None:
-                fire(ha, "LoadInst", thread, frame, (address,), value,
-                     operand_regs, result, _EIGHT, size, loc)
+            if fire_a is not None:
+                fire_a(thread.tid, frame.shadow, (address,), value)
         return step
 
     return bind, instr.loc
@@ -780,21 +755,20 @@ def _emit_store(instr: Store, fname: str, label: str, index: int, module: Module
                 profile.mem_cycles += cache_access(address, size)
                 memory_write(address, regs[value_op] if vreg else value_op, size)
             return step
-        fire = b.fire
+        fire_b = b.site(hb, "StoreInst", operand_regs, None, sizes, 0, loc)
+        fire_a = b.site(ha, "StoreInst", operand_regs, None, sizes, 0, loc)
 
         def step(thread, frame):
             frame.ip = nxt
             regs = frame.regs
             value = regs[value_op] if vreg else value_op
             address = regs[address_op] if areg else address_op
-            if hb is not None:
-                fire(hb, "StoreInst", thread, frame, (value, address), None,
-                     operand_regs, None, sizes, 0, loc)
+            if fire_b is not None:
+                fire_b(thread.tid, frame.shadow, (value, address), None)
             profile.mem_cycles += cache_access(address, size)
             memory_write(address, value, size)
-            if ha is not None:
-                fire(ha, "StoreInst", thread, frame, (value, address), None,
-                     operand_regs, None, sizes, 0, loc)
+            if fire_a is not None:
+                fire_a(thread.tid, frame.shadow, (value, address), None)
         return step
 
     return bind, instr.loc
@@ -831,19 +805,18 @@ def _emit_br(instr: Br, fname: str, label: str, index: int, module: Module) -> E
                     frame.ip = 0
                     return frame
             return step
-        fire = b.fire
+        fire_b = b.site(hb, "BranchInst", operand_regs, None, _EIGHT, 0, loc)
+        fire_a = b.site(ha, "BranchInst", operand_regs, None, _EIGHT, 0, loc_after)
 
         def step(thread, frame):
             frame.ip = nxt
             cond = frame.regs[cond_op] if creg else cond_op
-            if hb is not None:
-                fire(hb, "BranchInst", thread, frame, (cond,), None,
-                     operand_regs, None, _EIGHT, 0, loc)
+            if fire_b is not None:
+                fire_b(thread.tid, frame.shadow, (cond,), None)
             frame.code = then_code if cond else else_code
             frame.ip = 0
-            if ha is not None:
-                fire(ha, "BranchInst", thread, frame, (cond,), None,
-                     operand_regs, None, _EIGHT, 0, loc_after)
+            if fire_a is not None:
+                fire_a(thread.tid, frame.shadow, (cond,), None)
             return frame
         return step
 
@@ -886,7 +859,10 @@ def _emit_alloca(instr: Alloca, fname: str, label: str, index: int, module: Modu
                 thread.stack_top = top
                 frame.regs[result] = top
             return step
-        fire = b.fire
+        vm = b.vm
+        #: allocation size (``sizeof($r)``, dynamic for a register size)
+        #: -> the site bound with it
+        fires = {}
 
         def step(thread, frame):
             frame.ip = nxt
@@ -902,8 +878,11 @@ def _emit_alloca(instr: Alloca, fname: str, label: str, index: int, module: Modu
                 if tracer is not None:
                     tracer.shadow_set0(shadow, result)
             if ha is not None:
-                fire(ha, "AllocaInst", thread, frame, (size,), top,
-                     operand_regs, result, _EIGHT, size, loc)
+                fire_a = fires.get(size)
+                if fire_a is None:
+                    fire_a = fires[size] = bind_site(vm, ha, "AllocaInst", operand_regs,
+                                                     result, _EIGHT, size, loc)
+                fire_a(thread.tid, frame.shadow, (size,), top)
         return step
 
     return bind, instr.loc
@@ -959,14 +938,13 @@ def _emit_ret(instr: Ret, fname: str, label: str, index: int, module: Module) ->
                         caller.regs[call_instr.result] = const_value
                     return caller
             return step
-        fire = b.fire
+        fire_b = b.site(hb, "ReturnInst", operand_regs, None, _EIGHT, 0, loc)
 
         def step(thread, frame):
             frame.ip = nxt
-            if hb is not None:
+            if fire_b is not None:
                 value = frame.regs[value_op] if vreg else const_value
-                fire(hb, "ReturnInst", thread, frame, (value,), None,
-                     operand_regs, None, _EIGHT, 0, loc)
+                fire_b(thread.tid, frame.shadow, (value,), None)
             vm._do_ret(thread, frame, instr)
             frames = thread.frames
             if frames:
@@ -1005,12 +983,17 @@ def _emit_call(instr: Call, fname: str, label: str, index: int, module: Module) 
             vm = b.vm
             profile = b.profile
             entry = b.entries[callee]
-            hb_call = b.before.get("CallInst")
-            hb_func = b.before.get(func_key)
+            fire_call = b.site(b.before.get("CallInst"), "CallInst", operand_regs,
+                               result_reg, sizes, 8, loc)
+            fire_b = b.site(b.before.get(func_key), func_key, operand_regs,
+                            result_reg, sizes, 8, loc)
+            # The callee's Ret fires the after-event at this call site.
+            on_return = b.site(b.after.get(func_key), func_key, operand_regs,
+                               result_reg, sizes, 8, loc)
             tracer = b.tracer
             shadow_on = b.track_shadow
-            if (hb_call is None and hb_func is None and tracer is None
-                    and not shadow_on and arity_msg is None):
+            if (fire_call is None and fire_b is None and on_return is None
+                    and tracer is None and not shadow_on and arity_msg is None):
                 def step(thread, frame):
                     frame.ip = nxt
                     profile.base_cycles += _CALL_CYCLES
@@ -1022,26 +1005,24 @@ def _emit_call(instr: Call, fname: str, label: str, index: int, module: Module) 
                     thread.frames.append(new)
                     return new
                 return step
-            fire = b.fire
             bt_entry = vm._bt_entry
 
             def step(thread, frame):
                 frame.ip = nxt
                 profile.base_cycles += _CALL_CYCLES
                 args = get_args(frame.regs)
-                if hb_call is not None:
-                    fire(hb_call, "CallInst", thread, frame, args, None,
-                         operand_regs, result_reg, sizes, 8, loc)
+                if fire_call is not None:
+                    fire_call(thread.tid, frame.shadow, args, None)
                 if arity_msg is not None:
                     raise VMError(arity_msg)
-                if hb_func is not None:
-                    fire(hb_func, func_key, thread, frame, args, None,
-                         operand_regs, result_reg, sizes, 8, loc)
+                if fire_b is not None:
+                    fire_b(thread.tid, frame.shadow, args, None)
                 new = Frame(target, dict(zip(params, args)), entry)
                 new.stack_mark = thread.stack_top
                 new.call_instr = instr
                 new.call_ops = args
                 new.caller_shadow = frame.shadow
+                new.on_return = on_return
                 if tracer is not None:
                     tracer.frame_push(new.shadow, thread.tid, frame.shadow,
                                       bt_entry(frame))
@@ -1068,22 +1049,21 @@ def _emit_call(instr: Call, fname: str, label: str, index: int, module: Module) 
         def bind(b: _Binder) -> Step:
             vm = b.vm
             profile = b.profile
-            fire = b.fire
-            hb_call = b.before.get("CallInst")
-            ha_key = b.after.get("func:global_addr")
+            fire_call = b.site(b.before.get("CallInst"), "CallInst", operand_regs,
+                               result_reg, sizes, 8, loc)
+            fire_a = b.site(b.after.get("func:global_addr"), "func:global_addr", operand_regs,
+                            result_reg, sizes, 8, loc)
             finish = _make_finish(b, result_reg)
 
             def step(thread, frame):
                 frame.ip = nxt
                 profile.base_cycles += _CALL_CYCLES
                 args = get_args(frame.regs)
-                if hb_call is not None:
-                    fire(hb_call, "CallInst", thread, frame, args, None,
-                         operand_regs, result_reg, sizes, 8, loc)
+                if fire_call is not None:
+                    fire_call(thread.tid, frame.shadow, args, None)
                 value = vm.global_address(suffix)
-                if ha_key is not None:
-                    fire(ha_key, "func:global_addr", thread, frame, args,
-                         value, operand_regs, result_reg, sizes, 8, loc)
+                if fire_a is not None:
+                    fire_a(thread.tid, frame.shadow, args, value)
                 finish(frame, value)
             return step
 
@@ -1093,22 +1073,21 @@ def _emit_call(instr: Call, fname: str, label: str, index: int, module: Module) 
         def bind(b: _Binder) -> Step:
             vm = b.vm
             profile = b.profile
-            fire = b.fire
-            hb_call = b.before.get("CallInst")
-            ha_key = b.after.get("func:spawn")
+            fire_call = b.site(b.before.get("CallInst"), "CallInst", operand_regs,
+                               result_reg, sizes, 8, loc)
+            fire_a = b.site(b.after.get("func:spawn"), "func:spawn", operand_regs,
+                            result_reg, sizes, 8, loc)
             finish = _make_finish(b, result_reg)
 
             def step(thread, frame):
                 frame.ip = nxt
                 profile.base_cycles += _CALL_CYCLES
                 args = get_args(frame.regs)
-                if hb_call is not None:
-                    fire(hb_call, "CallInst", thread, frame, args, None,
-                         operand_regs, result_reg, sizes, 8, loc)
+                if fire_call is not None:
+                    fire_call(thread.tid, frame.shadow, args, None)
                 value = vm._do_spawn(thread, frame, instr, suffix, args)
-                if ha_key is not None:
-                    fire(ha_key, "func:spawn", thread, frame, args, value,
-                         operand_regs, result_reg, sizes, 8, loc)
+                if fire_a is not None:
+                    fire_a(thread.tid, frame.shadow, args, value)
                 finish(frame, value)
             return step
 
@@ -1118,24 +1097,23 @@ def _emit_call(instr: Call, fname: str, label: str, index: int, module: Module) 
         def bind(b: _Binder) -> Step:
             vm = b.vm
             profile = b.profile
-            fire = b.fire
-            hb_call = b.before.get("CallInst")
-            ha_key = b.after.get("func:join")
+            fire_call = b.site(b.before.get("CallInst"), "CallInst", operand_regs,
+                               result_reg, sizes, 8, loc)
+            fire_a = b.site(b.after.get("func:join"), "func:join", operand_regs,
+                            result_reg, sizes, 8, loc)
             finish = _make_finish(b, result_reg)
 
             def step(thread, frame):
                 frame.ip = nxt
                 profile.base_cycles += _CALL_CYCLES
                 args = get_args(frame.regs)
-                if hb_call is not None:
-                    fire(hb_call, "CallInst", thread, frame, args, None,
-                         operand_regs, result_reg, sizes, 8, loc)
+                if fire_call is not None:
+                    fire_call(thread.tid, frame.shadow, args, None)
                 if vm._do_join(thread, args):
                     return True  # blocked: retried (and the hook refired) on wake
                 value = vm.threads[args[0]].result
-                if ha_key is not None:
-                    fire(ha_key, "func:join", thread, frame, args, value,
-                         operand_regs, result_reg, sizes, 8, loc)
+                if fire_a is not None:
+                    fire_a(thread.tid, frame.shadow, args, value)
                 finish(frame, value)
             return step
 
@@ -1148,45 +1126,41 @@ def _emit_call(instr: Call, fname: str, label: str, index: int, module: Module) 
         def bind(b: _Binder) -> Step:
             vm = b.vm
             profile = b.profile
-            fire = b.fire
-            hb_call = b.before.get("CallInst")
-            hb_key = b.before.get(func_key)
-            ha_key = b.after.get(func_key)
+            fire_call = b.site(b.before.get("CallInst"), "CallInst", operand_regs,
+                               result_reg, sizes, 8, loc)
+            fire_b = b.site(b.before.get(func_key), func_key, operand_regs,
+                            result_reg, _EIGHT, 8, loc)
+            fire_a = b.site(b.after.get(func_key), func_key, operand_regs,
+                            result_reg, _EIGHT, 8, loc)
             finish = _make_finish(b, result_reg)
             if locking:
                 def step(thread, frame):
                     frame.ip = nxt
                     profile.base_cycles += _CALL_CYCLES
                     args = get_args(frame.regs)
-                    if hb_call is not None:
-                        fire(hb_call, "CallInst", thread, frame, args, None,
-                             operand_regs, result_reg, sizes, 8, loc)
-                    if hb_key is not None:
-                        fire(hb_key, func_key, thread, frame, args, None,
-                             operand_regs, result_reg, _EIGHT, 8, loc)
+                    if fire_call is not None:
+                        fire_call(thread.tid, frame.shadow, args, None)
+                    if fire_b is not None:
+                        fire_b(thread.tid, frame.shadow, args, None)
                     if vm._do_lock(thread, args[0]):
                         return True  # blocked; hooks refire on retry (spin model)
                     profile.base_cycles += 4  # atomic RMW cost
-                    if ha_key is not None:
-                        fire(ha_key, func_key, thread, frame, args, 0,
-                             operand_regs, result_reg, _EIGHT, 8, loc)
+                    if fire_a is not None:
+                        fire_a(thread.tid, frame.shadow, args, 0)
                     finish(frame, 0)
             else:
                 def step(thread, frame):
                     frame.ip = nxt
                     profile.base_cycles += _CALL_CYCLES
                     args = get_args(frame.regs)
-                    if hb_call is not None:
-                        fire(hb_call, "CallInst", thread, frame, args, None,
-                             operand_regs, result_reg, sizes, 8, loc)
-                    if hb_key is not None:
-                        fire(hb_key, func_key, thread, frame, args, None,
-                             operand_regs, result_reg, _EIGHT, 8, loc)
+                    if fire_call is not None:
+                        fire_call(thread.tid, frame.shadow, args, None)
+                    if fire_b is not None:
+                        fire_b(thread.tid, frame.shadow, args, None)
                     vm._do_unlock(thread, args[0])
                     profile.base_cycles += 4
-                    if ha_key is not None:
-                        fire(ha_key, func_key, thread, frame, args, 0,
-                             operand_regs, result_reg, _EIGHT, 8, loc)
+                    if fire_a is not None:
+                        fire_a(thread.tid, frame.shadow, args, 0)
                     finish(frame, 0)
             return step
 
@@ -1201,13 +1175,15 @@ def _emit_call(instr: Call, fname: str, label: str, index: int, module: Module) 
     def bind(b: _Binder) -> Step:
         vm = b.vm
         profile = b.profile
-        fire = b.fire
         builtin = vm._builtins.get(callee)
-        hb_call = b.before.get("CallInst")
-        hb_func = b.before.get(func_key)
-        ha_func = b.after.get(func_key)
+        fire_call = b.site(b.before.get("CallInst"), "CallInst", operand_regs,
+                           result_reg, sizes, 8, loc)
+        fire_b = b.site(b.before.get(func_key), func_key, operand_regs,
+                        result_reg, sizes, 8, loc)
+        fire_a = b.site(b.after.get(func_key), func_key, operand_regs,
+                        result_reg, sizes, 8, loc)
         finish = _make_finish(b, result_reg)
-        if (hb_call is None and hb_func is None and ha_func is None
+        if (fire_call is None and fire_b is None and fire_a is None
                 and builtin is not None):
             if result_reg is None and not b.track_shadow:
                 def step(thread, frame):
@@ -1226,20 +1202,17 @@ def _emit_call(instr: Call, fname: str, label: str, index: int, module: Module) 
             frame.ip = nxt
             profile.base_cycles += _CALL_CYCLES
             args = get_args(frame.regs)
-            if hb_call is not None:
-                fire(hb_call, "CallInst", thread, frame, args, None,
-                     operand_regs, result_reg, sizes, 8, loc)
+            if fire_call is not None:
+                fire_call(thread.tid, frame.shadow, args, None)
             if builtin is None:
                 raise VMError(unknown_msg)
-            if hb_func is not None:
-                fire(hb_func, func_key, thread, frame, args, None,
-                     operand_regs, result_reg, sizes, 8, loc)
+            if fire_b is not None:
+                fire_b(thread.tid, frame.shadow, args, None)
             value = builtin(vm, thread, args)
             if value is None:
                 value = 0
-            if ha_func is not None:
-                fire(ha_func, func_key, thread, frame, args, value,
-                     operand_regs, result_reg, sizes, 8, loc)
+            if fire_a is not None:
+                fire_a(thread.tid, frame.shadow, args, value)
             finish(frame, value)
         return step
 

@@ -11,18 +11,31 @@ call boundary, before and/or after, exactly mirroring ALDA's
   fires for calls to module functions, libc builtins, and simulated library
   functions alike.
 
-An :class:`EventContext` carries everything ALDA's call-arg syntax can ask
+Each instrumented site binds its subscribers once (:func:`bind_site`),
+knowing its static fields: kind, operand/result registers, sizes and
+location.  A subscriber with a ``bind_site`` factory (generated ALDAcc
+adapters, the trace recorder) returns a callable specialized to those
+fields, ``deliver(tid, shadow, ops, result, seq)``.  Any other subscriber
+takes an :class:`EventContext`, built per event by one shim.  An
+:class:`EventContext` carries everything ALDA's call-arg syntax can ask
 for: operand values (``$1..$n``), the result (``$r``), the thread id
 (``$t``), operand sizes (``sizeof($X)``), and local (register) metadata
 (``$X.m``), with the ability for a handler's return value to become the
-result register's metadata.
+result register's metadata.  The reference interpreter builds its own
+contexts: it is the oracle the direct path is tested against.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.errors import VMError
+
 Callback = Callable[["EventContext"], None]
+
+#: Dispatch cycles billed per handler call unless the subscriber sets
+#: ``dispatch_cycles`` (inlined ALDAcc handlers bill less, section 5.5).
+HANDLER_DISPATCH_CYCLES = 2
 
 
 class Hooks:
@@ -31,10 +44,17 @@ class Hooks:
     def __init__(self) -> None:
         self.before: Dict[str, List[Callback]] = {}
         self.after: Dict[str, List[Callback]] = {}
+        #: set once a VM has bound its sites; a later add would be missed
+        self.bound = False
 
     def add(self, position: str, key: str, callback: Callback) -> None:
         if position not in ("before", "after"):
             raise ValueError(f"position must be 'before' or 'after', not {position!r}")
+        if self.bound:
+            raise VMError(
+                f"cannot add a {position!r} hook for {key!r}: the VM has "
+                "already bound its instrumented sites (attach before run)"
+            )
         table = self.before if position == "before" else self.after
         table.setdefault(key, []).append(callback)
 
@@ -138,10 +158,6 @@ class EventContext:
         """``$index`` (1-based)."""
         return self.ops[index - 1]
 
-    def all_operands(self) -> Tuple[int, ...]:
-        """``$p``."""
-        return self.ops
-
     def sizeof(self, index_or_r) -> int:
         """``sizeof($X)`` — byte size of operand ``$X`` or of ``$r``."""
         if index_or_r == "r":
@@ -168,6 +184,59 @@ class EventContext:
         """Attach a handler's return value as ``$r``'s local metadata."""
         if self._result_reg is not None:
             self._shadow_regs[self._result_reg] = value
+
+
+def bind_site(vm, callbacks, kind: str, operand_regs: Tuple[Optional[str], ...],
+              result_reg: Optional[str], sizes: Tuple[int, ...],
+              result_size: int, loc: str):
+    """Bind one instrumented site's subscribers; ``None`` when it has none.
+
+    Returns ``fire(tid, shadow, ops, result)``: it numbers the event,
+    adds the site's billing once (handler calls, the sum of the
+    subscribers' dispatch cycles, the per-kind count) and calls each
+    subscriber's specialized callable.
+    """
+    if not callbacks:
+        return None
+    site = (kind, operand_regs, result_reg, sizes, result_size, loc)
+    subscribers = [callback.bind_site(*site) if hasattr(callback, "bind_site")
+                   else _context_shim(vm, callback, *site) for callback in callbacks]
+    n = len(subscribers)
+    cycles = sum(getattr(callback, "dispatch_cycles", HANDLER_DISPATCH_CYCLES)
+                 for callback in callbacks)
+    profile = vm.profile
+    if n == 1:
+        (deliver,) = subscribers
+
+        def fire(tid, shadow, ops, result):
+            seq = vm._fire_seq + 1
+            vm._fire_seq = seq
+            profile.handler_calls += 1
+            profile.instr_cycles += cycles
+            events = profile.events
+            events[kind] = events.get(kind, 0) + 1
+            deliver(tid, shadow, ops, result, seq)
+    else:
+        def fire(tid, shadow, ops, result):
+            seq = vm._fire_seq + 1
+            vm._fire_seq = seq
+            profile.handler_calls += n
+            profile.instr_cycles += cycles
+            events = profile.events
+            events[kind] = events.get(kind, 0) + n
+            for deliver in subscribers:
+                deliver(tid, shadow, ops, result, seq)
+    return fire
+
+
+def _context_shim(vm, callback: Callback, kind, operand_regs, result_reg, sizes,
+                  result_size, loc):
+    """A site's ``deliver`` for a subscriber that takes an :class:`EventContext`."""
+
+    def deliver(tid, shadow, ops, result, seq):
+        callback(EventContext(vm, kind, tid, ops, result, shadow, operand_regs,
+                              result_reg, sizes, result_size, loc, seq))
+    return deliver
 
 
 class ExecutionTracer:

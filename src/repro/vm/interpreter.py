@@ -40,7 +40,7 @@ from repro.ir.instructions import (
 from repro.ir.module import Function, Module
 from repro.ir.validate import validate_module
 from repro.vm.cache import CacheConfig, CacheSim
-from repro.vm.events import EventContext, Hooks
+from repro.vm.events import HANDLER_DISPATCH_CYCLES, EventContext, Hooks
 from repro.vm.memory import AddressSpace, Heap, Memory
 from repro.vm.profile import Profile
 from repro.vm import libc as libc_module
@@ -54,7 +54,6 @@ _BLOCKED_MUTEX = 2
 _DONE = 3
 
 _CALL_CYCLES = 2
-_HANDLER_DISPATCH_CYCLES = 2
 _SHADOW_PROP_CYCLES = 1
 
 _EIGHT = (8,)
@@ -73,6 +72,7 @@ class Frame:
         "call_instr",
         "call_ops",
         "caller_shadow",
+        "on_return",
     )
 
     def __init__(self, function: Function, regs: Dict[str, int],
@@ -90,6 +90,8 @@ class Frame:
         self.call_instr: Optional[Call] = None
         self.call_ops: Tuple[int, ...] = ()
         self.caller_shadow: Optional[Dict[str, int]] = None
+        #: ``fire(tid, shadow, ops, value)`` for the call site's after-event
+        self.on_return: Optional[Callable] = None
 
 
 class ThreadState:
@@ -306,6 +308,7 @@ class Interpreter:
     # run loop
     # ------------------------------------------------------------------
     def run(self, entry: str = "main", args: Sequence[int] = ()) -> Profile:
+        self.hooks.bound = True
         if self.backend == "compiled":
             if self._entry_code is None:
                 # Bound here — not in __init__ — so the snapshot sees the
@@ -654,6 +657,11 @@ class Interpreter:
             new_frame.call_instr = instr
             new_frame.call_ops = args
             new_frame.caller_shadow = frame.shadow
+            if key in ha:
+                def on_return(tid, shadow, ops, value):
+                    self._fire(ha[key], key, thread, frame, instr, ops, value,
+                               (8,) * len(ops), 8)
+                new_frame.on_return = on_return
             tracer = self._tracer
             if tracer is not None:
                 tracer.frame_push(
@@ -770,12 +778,8 @@ class Interpreter:
                     )
         if tracer is not None:
             tracer.frame_pop(frame.shadow, thread.tid)
-        key = "func:" + frame.function.name
-        if call_instr is not None and key in self._ha:
-            self._fire(
-                self._ha[key], key, thread, caller, call_instr,
-                frame.call_ops, value, (8,) * len(frame.call_ops), 8,
-            )
+        if frame.on_return is not None:
+            frame.on_return(thread.tid, caller.shadow, frame.call_ops, value)
 
     # ------------------------------------------------------------------
     # threading primitives
@@ -867,7 +871,7 @@ class Interpreter:
             # Inlined handlers (ALDAcc section 5.5) bill less dispatch
             # than out-of-line hook functions.
             profile.instr_cycles += getattr(
-                callback, "dispatch_cycles", _HANDLER_DISPATCH_CYCLES
+                callback, "dispatch_cycles", HANDLER_DISPATCH_CYCLES
             )
             profile.count_event(kind)
             callback(context)

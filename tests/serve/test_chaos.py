@@ -215,3 +215,26 @@ def test_shard_kill_needs_a_ring():
 def test_chaos_resilience_defaults_are_test_sized():
     assert CHAOS_RESILIENCE.hang_timeout <= 10.0
     assert CHAOS_RESILIENCE.reaper_interval is not None
+
+
+def test_store_counters_are_per_root():
+    # Integrity counters belong to the store root that counted them: a
+    # second storm on fresh roots in the same process starts from zero,
+    # and its shard reports only the corrupt reads of its own store.
+    first = run_chaos(
+        seed=505,
+        points={"store.read.corrupt": FaultSpec(probability=0.5, max_fires=3)},
+        requests=12,
+        workers=0,
+    )
+    second = run_chaos(
+        seed=505,
+        points={"store.read.corrupt": FaultSpec(probability=1.0, max_fires=2)},
+        requests=12,
+        workers=0,
+    )
+    for report in (first, second):
+        _assert_invariant(report)
+        fires = report.plan_stats["fires"]["store.read.corrupt"]
+        assert report.health["shard0"]["store"]["corrupt_detected"] == fires
+    assert second.plan_stats["fires"]["store.read.corrupt"] == 2

@@ -60,9 +60,10 @@ def _expected(reference):
     out = []
     for rec in reference:
         op = rec[0]
-        if op == OP_EVENT:
+        if op == OP_EVENT:  # the decoder groups the site's static fields
             when, loc, bt = rec[1], rec[11], rec[12]
-            out.append((R_EVENT, when == "after", *rec[2:11], loc,
+            site = (rec[9], rec[10], rec[7], rec[8], loc)
+            out.append((R_EVENT, when == "after", *rec[2:7], site,
                         loc if bt is None else bt))
         elif op == OP_PUSH:  # the decoder leaves serials implicit
             out.append((R_PUSH, rec[2], rec[3]))
@@ -110,13 +111,7 @@ def test_decode_slice_matches_reference(golden_traces, name):
     reader = TraceReader(golden_traces[name])
     expected = _expected(reader.records())
     artifact = decode_slice(reader.payload)
-    seqs = []
-    for rec in artifact.records:
-        if rec[0] == R_EVENT:
-            seqs.append(rec[13])
-    assert [rec[:13] if rec[0] == R_EVENT else rec
-            for rec in artifact.records] == expected
-    assert seqs == list(range(1, len(seqs) + 1))
+    assert artifact.records == expected
     assert artifact.n_records == reader.meta["n_records"]
     assert artifact.n_events == reader.meta["n_events"]
     assert artifact.saw_summary and artifact.n_filtered == 0
@@ -137,10 +132,10 @@ def _wide_trace(segment_target_bytes=DEFAULT_SEGMENT_TARGET):
     sizes = (256,) * len(ops)
     regs = tuple(None if i % 3 == 0 else f"%r{i}" for i in range(len(ops)))
     for after in (False, True):
-        writer.event(after, "func:wide", tid, top, ops, -(2**65), sizes, 1000,
-                     regs, "%res", "wide.c:1", "caller:7")
-    writer.event(False, "load", tid, top, (2**40,), 2**63, (8,), 8,
-                 ("%p",), "%v", "wide.c:2", "wide.c:2")
+        writer.event(after, "func:wide", tid, top, ops, -(2**65),
+                     writer.site(regs, "%res", sizes, 1000, "wide.c:1"), "caller:7")
+    writer.event(False, "load", tid, top, (2**40,), 2**63,
+                 writer.site(("%p",), "%v", (8,), 8, "wide.c:2"), "wide.c:2")
     writer.access(2**40, 300)
     writer.access(8, 8)  # negative address delta
     writer.shadow_set0(top, "%r1")
@@ -163,12 +158,12 @@ def test_decoder_matches_reference_on_wide_fields():
     expected = _expected(reader.records())
     events = [rec for rec in expected if rec[0] == R_EVENT]
     assert events[0][5][-3:] == (2**64 + 5, -(2**70), 2**100)
-    assert events[0][6] == -(2**65) and events[0][12] == "caller:7"
-    assert events[2][12] == "wide.c:2"  # no backtrace entry recorded
+    assert events[0][6] == -(2**65) and events[0][8] == "caller:7"
+    assert events[2][8] == "wide.c:2"  # no backtrace entry recorded
     assert decode(reader.payload)[0] == expected
     assert TraceReplayer(whole).records == TraceReplayer(cut).records == expected
     sliced = decode_slice(reader.payload).records
-    assert [rec[:13] for rec in sliced if rec[0] == R_EVENT] == events
+    assert [rec for rec in sliced if rec[0] == R_EVENT] == events
 
 
 def test_decode_slice_filters_and_seeds():
@@ -178,7 +173,8 @@ def test_decode_slice_filters_and_seeds():
                             fire_before=frozenset({"load"}),
                             fire_after=frozenset(), keep_shadow=False)
     kept = [rec for rec in artifact.records if rec[0] == R_EVENT]
-    assert [(rec[2], rec[13]) for rec in kept] == [("load", 43)]
+    assert [rec[2] for rec in kept] == ["load"]
+    assert artifact.events_before == 40
     assert artifact.n_filtered == 2 + 4  # two wide events, four shadow ops
     assert artifact.n_records == len(full) and artifact.n_events == 3
     assert artifact.n_pushes == 130
@@ -239,4 +235,4 @@ def test_undefined_string_id_raises_typed_error(event):
 def test_well_formed_event_with_string_ids_decodes():
     payload = bytes([OP_STR, 1]) + b"x" + _event(reg_id=1, bt_id=0)
     (event,) = decode(payload)[0]
-    assert event[2] == "x" and event[9] == ("x",) and event[12] == "x"
+    assert event[2] == "x" and event[7][0] == ("x",) and event[8] == "x"

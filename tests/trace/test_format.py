@@ -63,8 +63,8 @@ def _write_sample(meta=None):
     sink = io.BytesIO()
     writer = TraceWriter(sink, meta or {"workload": "unit", "scale": 1})
     writer.frame_push(0, None)
-    writer.event(False, "store", 0, 0, (1024, -8), None, (8,), 0,
-                 ("%v", None), "%r", "main:1", "main:1")
+    writer.event(False, "store", 0, 0, (1024, -8), None,
+                 writer.site(("%v", None), "%r", (8,), 0, "main:1"), "main:1")
     writer.access(1024, 8)
     writer.access(1032, 8)
     writer.shadow_set0(0, "%r")
@@ -104,8 +104,8 @@ def test_event_after_flag_and_backtrace():
     sink = io.BytesIO()
     writer = TraceWriter(sink, {})
     writer.frame_push(0, None)
-    writer.event(True, "func:main", 0, 0, (), 7, (), 8, (), None,
-                 "lib:3", "caller:9")
+    writer.event(True, "func:main", 0, 0, (), 7,
+                 writer.site((), None, (), 8, "lib:3"), "caller:9")
     writer.summary(1, 1, 0, 0)
     writer.close()
     event = [r for r in TraceReader(sink.getvalue()).records()

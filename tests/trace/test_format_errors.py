@@ -27,8 +27,8 @@ def _sample(segment_target_bytes=DEFAULT_SEGMENT_TARGET):
                          segment_target_bytes=segment_target_bytes)
     for i in range(8):
         writer.frame_push(0, None)
-        writer.event(False, "store", 0, 0, (64 * i, -8), None, (8,), 0,
-                     ("%v", None), "%r", "main:1", "main:1")
+        writer.event(False, "store", 0, 0, (64 * i, -8), None,
+                     writer.site(("%v", None), "%r", (8,), 0, "main:1"), "main:1")
         writer.access(64 * i, 8)
         writer.frame_pop(0, 0)
     writer.summary(base_cycles=10, instructions=3, mem_cycles=6,

@@ -14,7 +14,7 @@ import pytest
 from repro import faultline
 from repro.faultline import FaultPlan, FaultSpec
 from repro.trace.format import TraceReader
-from repro.trace.store import StoreCorruptionError, TraceStore, integrity_stats
+from repro.trace.store import StoreCorruptionError, TraceStore
 from repro.workloads import ALL
 
 
@@ -64,10 +64,10 @@ def test_corrupt_middle_segment_quarantines_on_range_read(store):
     data[middle["offset"] + middle["clen"] // 2] ^= 0xFF
     path.write_bytes(bytes(data))
 
-    before = integrity_stats()
+    before = store.integrity_stats()
     with pytest.raises(StoreCorruptionError):
         store.read_segment(path, middle)
-    assert integrity_stats()["corrupt_detected"] > before["corrupt_detected"]
+    assert store.integrity_stats()["corrupt_detected"] > before["corrupt_detected"]
     assert path.name in store.quarantined_entries()
     sidecar = store.quarantine_dir / f"{path.name}.reason.json"
     assert json.loads(sidecar.read_text())["reason"]
@@ -133,9 +133,9 @@ def test_store_read_corrupt_fault_hits_segment_reads(store):
 
 def test_segment_reads_counted_as_verified(store):
     path, meta = _recorded_v2(store)
-    before = integrity_stats()["verified_reads"]
+    before = store.integrity_stats()["verified_reads"]
     store.read_segment(path, meta["segments"][0])
-    assert integrity_stats()["verified_reads"] == before + 1
+    assert store.integrity_stats()["verified_reads"] == before + 1
 
 
 def test_fsck_passes_v2_store(store):

@@ -15,7 +15,7 @@ import pytest
 from repro import faultline
 from repro.faultline import FaultPlan, FaultSpec
 from repro.trace import __main__ as trace_cli
-from repro.trace.store import StoreCorruptionError, TraceStore, integrity_stats
+from repro.trace.store import StoreCorruptionError, TraceStore
 from repro.workloads import ALL
 
 
@@ -111,10 +111,10 @@ def test_stale_v1_cache_entry_self_heals(store, tmp_path):
 
 
 def test_verified_reads_counted(store):
-    before = integrity_stats()
+    before = store.integrity_stats()
     digest = _ingested(store)
     store.open_by_digest(digest)
-    after = integrity_stats()
+    after = store.integrity_stats()
     assert after["verified_reads"] > before["verified_reads"]
 
 

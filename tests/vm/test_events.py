@@ -238,3 +238,32 @@ class TestReturnAndConstEvents:
         b.ret(0)
         seen = collect(b.module, "after", "ConstInst", lambda ctx: ctx.result)
         assert 42 in seen
+
+
+@pytest.mark.parametrize("backend", ["compiled", "reference"])
+def test_hook_added_after_run_is_refused(backend):
+    """Sites bind their subscribers when the VM runs; a later hook would
+    be silently missed, so adding one raises."""
+    from repro.errors import VMError
+
+    hooks = Hooks()
+    hooks.add("after", "LoadInst", lambda ctx: None)
+    Interpreter(simple_module(), hooks=hooks, backend=backend).run()
+    with pytest.raises(VMError, match="already bound"):
+        hooks.add("after", "StoreInst", lambda ctx: None)
+
+
+def test_hook_added_after_replay_binds_is_refused():
+    import io
+
+    from repro.errors import VMError
+    from repro.trace import TraceReplayer, record_workload
+    from repro.trace.replayer import ReplayState
+    from repro.workloads import ALL
+
+    buffer = io.BytesIO()
+    record_workload(ALL["bzip2"], 1, buffer)
+    state = ReplayState([])
+    state.run(TraceReplayer(buffer.getvalue()).records)
+    with pytest.raises(VMError, match="already bound"):
+        state.vm.hooks.add("after", "LoadInst", lambda ctx: None)
