@@ -1,11 +1,12 @@
 """Parallel batch execution for the harness.
 
 :mod:`repro.exec.pool` shards (workload x analysis x options) jobs
-across worker processes.  Each unique (workload, scale) pair is
-interpreted and recorded exactly once (via :mod:`repro.trace`); every
-job then *replays* that trace through its analysis, and replay results
-are cached on disk keyed by (trace digest, analysis fingerprint) so
-repeated invocations are pure cache hits.
+across worker processes, one trace per task.  Each unique (workload,
+scale) pair is interpreted and recorded exactly once (via
+:mod:`repro.trace`); its jobs then settle that trace together, one
+segment at a time, and results are cached on disk keyed by (trace
+digest, analysis fingerprint) so repeated invocations are pure cache
+hits that read only the trace's tail meta.
 """
 
 from repro.exec.pool import (

@@ -2,27 +2,33 @@
 
 The unit of work is a :class:`JobSpec`: one workload, one analysis
 configuration (named by a registry key so jobs pickle cheaply), one
-scale.  :func:`run_batch` executes a batch in two phases:
+scale.  :func:`run_batch` groups a batch's jobs by ``(workload,
+scale)`` and runs each group as one task, :func:`_run_trace`, in
+process or on a worker pool (one trace per task):
 
-1. **Record** — every unique (workload, scale) pair missing from the
-   trace store is interpreted once and its event trace recorded
-   (parallel across workloads).
-2. **Replay** — every job replays its workload's trace through its
-   analysis (parallel across jobs).  Replay is bit-identical to the
-   inline run (see :mod:`repro.trace.replayer`), so batch results are
-   interchangeable with ``measure_overhead``'s.
+1. **Meta** — read the trace's tail meta (digest, summary) with two
+   seeks and look every distinct spec up in the result cache, keyed by
+   ``(trace digest, analysis fingerprint)``.  A warm rerun stops here
+   without reading a payload byte.
+2. **Settle** — on a miss, open the trace (recording it if absent) and
+   settle every missing spec together, segment by segment
+   (:func:`repro.trace.replayer.settle_trace`): each segment is decoded
+   once, fired through each spec's own replay state, and dropped, so a
+   task holds one trace's payload and one segment of decoded records.
 
-Replay results are cached in the store keyed by
-``(trace digest, analysis fingerprint)``; the fingerprint hashes the
-analysis implementation (generated Python for ALDAcc-compiled analyses,
-class source for hand-tuned baselines), so editing an analysis — or a
+Replay is bit-identical to the inline run (see
+:mod:`repro.trace.replayer`), so batch results are interchangeable with
+``measure_overhead``'s.  The fingerprint hashes the analysis
+implementation (generated Python for ALDAcc-compiled analyses, class
+source for hand-tuned baselines), so editing an analysis — or a
 workload, which changes the trace digest — invalidates exactly the
 affected cache entries.
 
 Workers are :class:`repro.exec.workers.PersistentWorkerPool` processes;
-per-process ``lru_cache`` keeps each analysis compiled at most once per
-worker, and because the pool is long-lived the same warm caches back the
-resident analysis daemon (:mod:`repro.serve`).
+``build_analysis``'s per-process ``lru_cache`` keeps each analysis
+compiled at most once per worker, and because the pool is long-lived
+the same warm caches back the resident analysis daemon
+(:mod:`repro.serve`).
 """
 
 from __future__ import annotations
@@ -31,12 +37,11 @@ import functools
 import hashlib
 import inspect
 import tempfile
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro.trace.replayer import TraceReplayer
-from repro.trace.store import TraceStore
+from repro.trace.replayer import settle_trace
+from repro.trace.store import StoreCorruptionError, TraceStore, module_digest
 
 # -- analysis registry ---------------------------------------------------
 # Spec keys name every configuration the figures use.  Builders are
@@ -196,148 +201,94 @@ class JobResult:
         }
 
 
-# -- worker functions (top level: must pickle) ---------------------------
+# -- per-trace driver (top level: must pickle) ---------------------------
 
-#: dotted task paths for PersistentWorkerPool submission
-RECORD_TASK = "repro.exec.pool:_record_trace"
-REPLAY_TASK = "repro.exec.pool:_run_job"
-
-
-def _record_trace(packed) -> str:
-    root, workload_name, scale, backend = packed
-    from repro.workloads import ALL
-
-    TraceStore(root).get_or_record(ALL[workload_name], scale, backend=backend)
-    return workload_name
+#: dotted task path for PersistentWorkerPool submission
+TRACE_TASK = "repro.exec.pool:_run_trace"
 
 
-@functools.lru_cache(maxsize=4)
-def _load_replayer(root: str, workload_name: str, scale: int) -> TraceReplayer:
-    """Per-process replayer cache: jobs for the same workload (adjacent in
-    figure batches, so pool.map chunks keep them in one worker) share the
-    decoded trace instead of re-reading and re-decoding it."""
-    from repro.workloads import ALL
+def _resolve(store: TraceStore, meta: dict, jobs: Sequence[JobSpec],
+             settle: Callable[[List[str]], list]) -> List[JobResult]:
+    """Results for jobs over one trace, through the result cache.
 
-    store = TraceStore(root)
-    return TraceReplayer(store.get_or_record(ALL[workload_name], scale))
-
-
-def _run_job(packed) -> JobResult:
-    root, job = packed
-
-    store = TraceStore(root)
-    replayer = _load_replayer(root, job.workload, job.scale)
-    reader = replayer.trace
-    summary = reader.summary
-    baseline_cycles = summary["plain_cycles"]
-    label = job.label or job.spec
-
-    key = TraceStore.result_key(reader.digest, analysis_fingerprint(job.spec))
-    cached = store.load_result(key)
-    if cached is not None:
-        return JobResult(
-            workload=job.workload,
-            spec=job.spec,
-            label=label,
-            scale=job.scale,
-            baseline_cycles=baseline_cycles,
-            instrumented_cycles=cached["instrumented_cycles"],
-            metadata_bytes=cached["metadata_bytes"],
-            n_reports=cached["n_reports"],
-            wall_seconds=cached["wall_seconds"],
-            cached=True,
-        )
-
-    started = time.perf_counter()
-    profile, reporter = replayer.replay([build_analysis(job.spec)])
-    wall = time.perf_counter() - started
-    store.store_result(
-        key,
-        {
-            "workload": job.workload,
-            "spec": job.spec,
-            "scale": job.scale,
+    Each distinct spec is looked up once under ``(digest, analysis
+    fingerprint)``.  ``settle(missing specs)``, called only if some are,
+    returns one ``(profile, reporter, seconds)`` per miss, to be stored.
+    """
+    keys = {job.spec: TraceStore.result_key(meta["digest"],
+                                            analysis_fingerprint(job.spec))
+            for job in jobs}
+    records = {spec: store.load_result(key) for spec, key in keys.items()}
+    missing = [spec for spec, record in records.items() if record is None]
+    settled = settle(missing) if missing else ()
+    for spec, (profile, reporter, seconds) in zip(missing, settled):
+        records[spec] = {
+            "workload": jobs[0].workload,
+            "spec": spec,
+            "scale": jobs[0].scale,
             "instrumented_cycles": profile.cycles,
             "metadata_bytes": profile.metadata_bytes,
             "n_reports": len(list(reporter)),
-            "wall_seconds": wall,
-        },
-    )
-    return JobResult(
-        workload=job.workload,
-        spec=job.spec,
-        label=label,
-        scale=job.scale,
-        baseline_cycles=baseline_cycles,
-        instrumented_cycles=profile.cycles,
-        metadata_bytes=profile.metadata_bytes,
-        n_reports=len(list(reporter)),
-        wall_seconds=wall,
-    )
+            "wall_seconds": seconds,
+        }
+        store.store_result(keys[spec], records[spec])
+    measured = ("instrumented_cycles", "metadata_bytes", "n_reports", "wall_seconds")
+    return [
+        JobResult(workload=job.workload, spec=job.spec, label=job.label or job.spec,
+                  scale=job.scale, baseline_cycles=meta["summary"]["plain_cycles"],
+                  cached=job.spec not in missing,
+                  **{name: records[job.spec][name] for name in measured})
+        for job in jobs
+    ]
+
+
+def _run_trace(packed, pool=None) -> List[JobResult]:
+    """Every job of one (workload, scale): meta first, payload on a miss.
+
+    The digest and summary come from the trace's tail meta, so a batch
+    whose results are all cached reads no payload byte.  On a miss the
+    trace is opened (or recorded) by ``get_or_record``, which verifies
+    it and self-heals, and every missing spec settles together in one
+    segment-by-segment pass (:func:`repro.trace.replayer.settle_trace`).
+    With ``partition > 1`` each missing spec instead replays through
+    shards decoded across ``pool`` (or in process without one).  With
+    no jobs the task only records the trace if it is absent.
+    """
+    root, name, scale, jobs, backend, partition = packed
+    from repro.workloads import ALL
+
+    store = TraceStore(root)
+    digest = module_digest(ALL[name], scale)
+    path = store.trace_path(ALL[name], scale, digest)
+    open_trace = functools.partial(store.get_or_record, ALL[name], scale,
+                                   backend=backend, digest=digest)
+    if not jobs:
+        if not path.exists():
+            open_trace()
+        return []
+    try:
+        meta, reader = store.read_tail_meta(path), None
+    except (OSError, StoreCorruptionError):  # absent, or quarantined
+        reader = open_trace()
+        meta = reader.meta
+
+    def settle(specs: List[str]) -> list:
+        # The verified, self-healing open, even when shards then
+        # range-read the segments again.
+        trace = reader or open_trace()
+        if partition > 1:
+            from repro.partition import replay_partitioned
+
+            replays = [replay_partitioned(store, path, [spec], partition, pool=pool)
+                       for spec in specs]
+            return [(profile, reporter, stats["wall_seconds"])
+                    for profile, reporter, stats in replays]
+        return settle_trace(trace, [[build_analysis(spec)] for spec in specs])
+
+    return _resolve(store, meta, jobs, settle)
 
 
 # -- batch driver --------------------------------------------------------
-
-
-def _run_job_partitioned(store: TraceStore, job: JobSpec, shards: int,
-                         pool=None) -> JobResult:
-    """One job via partitioned replay: decode fans across ``pool`` (or
-    runs inline when ``pool`` is None), handlers settle here.  Shares the
-    result cache with :func:`_run_job` — partitioned output is
-    bit-identical, so entries are interchangeable either way."""
-    from repro.partition import replay_partitioned
-    from repro.workloads import ALL
-
-    store.get_or_record(ALL[job.workload], job.scale)
-    trace_path = store.trace_path(ALL[job.workload], job.scale)
-    meta = store.read_tail_meta(trace_path)
-    baseline_cycles = meta["summary"]["plain_cycles"]
-    label = job.label or job.spec
-
-    key = TraceStore.result_key(meta["digest"], analysis_fingerprint(job.spec))
-    cached = store.load_result(key)
-    if cached is not None:
-        return JobResult(
-            workload=job.workload,
-            spec=job.spec,
-            label=label,
-            scale=job.scale,
-            baseline_cycles=baseline_cycles,
-            instrumented_cycles=cached["instrumented_cycles"],
-            metadata_bytes=cached["metadata_bytes"],
-            n_reports=cached["n_reports"],
-            wall_seconds=cached["wall_seconds"],
-            cached=True,
-        )
-
-    started = time.perf_counter()
-    profile, reporter, _stats = replay_partitioned(
-        store, trace_path, [job.spec], shards, pool=pool
-    )
-    wall = time.perf_counter() - started
-    store.store_result(
-        key,
-        {
-            "workload": job.workload,
-            "spec": job.spec,
-            "scale": job.scale,
-            "instrumented_cycles": profile.cycles,
-            "metadata_bytes": profile.metadata_bytes,
-            "n_reports": len(list(reporter)),
-            "wall_seconds": wall,
-        },
-    )
-    return JobResult(
-        workload=job.workload,
-        spec=job.spec,
-        label=label,
-        scale=job.scale,
-        baseline_cycles=baseline_cycles,
-        instrumented_cycles=profile.cycles,
-        metadata_bytes=profile.metadata_bytes,
-        n_reports=len(list(reporter)),
-        wall_seconds=wall,
-    )
 
 
 def run_batch(
@@ -349,17 +300,16 @@ def run_batch(
 ) -> List[JobResult]:
     """Execute a batch of jobs; results come back in job order.
 
-    ``store`` may be a :class:`TraceStore`, a directory path, or None
-    (a temporary store discarded afterwards).  With ``processes > 1``
-    both phases — trace recording and analysis replay — fan out over a
-    worker pool.  ``backend`` selects the VM backend used to *record*
-    missing traces; recordings are byte-identical across backends
-    (``tests/vm/test_backends.py``), so it only changes recording
-    wall-clock.
+    Jobs are grouped by ``(workload, scale)`` and each group runs as one
+    :func:`_run_trace` task, in process or, with ``processes > 1``, on a
+    worker pool.  ``store`` may be a :class:`TraceStore`, a directory
+    path, or None (a temporary store discarded afterwards).  ``backend``
+    selects the VM backend that *records* missing traces; recordings are
+    byte-identical across backends (``tests/vm/test_backends.py``).
 
-    With ``partition > 1`` the parallelism axis flips: jobs execute
-    *sequentially* but each job's trace decode is cut into up to
-    ``partition`` shards fanned across the pool
+    With ``partition > 1`` the parallelism axis flips: groups execute
+    *sequentially* but each missing job's trace decode is cut into up
+    to ``partition`` shards fanned across the pool
     (:func:`repro.partition.runner.replay_partitioned`), which helps
     when a batch is dominated by a few huge traces rather than by job
     count.  Results are bit-identical either way and share one cache.
@@ -367,11 +317,18 @@ def run_batch(
     jobs = list(jobs)
     if not jobs:
         return []
-    for job in jobs:
+    if partition < 1:
+        raise ValueError(f"partition must be >= 1, got {partition}")
+    from repro.workloads import ALL
+
+    groups: Dict[tuple, List[int]] = {}  # (workload, scale) -> job indices
+    for index, job in enumerate(jobs):
         if job.spec not in ANALYSIS_SPECS:
             raise KeyError(
-                f"unknown analysis spec {job.spec!r}; known: {sorted(ANALYSIS_SPECS)}"
-            )
+                f"unknown analysis spec {job.spec!r}; known: {sorted(ANALYSIS_SPECS)}")
+        if job.workload not in ALL:
+            raise KeyError(f"unknown workload {job.workload!r}")
+        groups.setdefault((job.workload, job.scale), []).append(index)
 
     tempdir: Optional[tempfile.TemporaryDirectory] = None
     if store is None:
@@ -379,50 +336,29 @@ def run_batch(
         store = TraceStore(tempdir.name)
     elif not isinstance(store, TraceStore):
         store = TraceStore(store)
-    root = str(store.root)
+    tasks = [(str(store.root), name, scale, tuple(jobs[i] for i in indices),
+              backend, partition)
+             for (name, scale), indices in groups.items()]
 
     try:
-        from repro.workloads import ALL
-
-        pairs = sorted({(job.workload, job.scale) for job in jobs})
-        for name, _scale in pairs:
-            if name not in ALL:
-                raise KeyError(f"unknown workload {name!r}")
-        missing = [
-            (root, name, scale, backend)
-            for name, scale in pairs
-            if not store.has_trace(ALL[name], scale)
-        ]
-        job_args = [(root, job) for job in jobs]
-
-        if partition < 1:
-            raise ValueError(f"partition must be >= 1, got {partition}")
-
         if processes > 1:
             from repro.exec.workers import PersistentWorkerPool
 
             with PersistentWorkerPool(processes) as pool:
-                if len(missing) > 1:
-                    pool.map(RECORD_TASK, missing)
-                else:
-                    for packed in missing:
-                        _record_trace(packed)
                 if partition > 1:
-                    results = [
-                        _run_job_partitioned(store, job, partition, pool=pool)
-                        for job in jobs
-                    ]
+                    # Record missing traces in parallel first: a task
+                    # with no jobs only records its trace if absent.
+                    pool.map(TRACE_TASK, [(str(store.root), name, scale, (), backend, 1)
+                                          for name, scale in groups])
+                    settled = [_run_trace(task, pool) for task in tasks]
                 else:
-                    results = pool.map(REPLAY_TASK, job_args)
+                    settled = pool.map(TRACE_TASK, tasks)
         else:
-            for packed in missing:
-                _record_trace(packed)
-            if partition > 1:
-                results = [
-                    _run_job_partitioned(store, job, partition) for job in jobs
-                ]
-            else:
-                results = [_run_job(packed) for packed in job_args]
+            settled = [_run_trace(task) for task in tasks]
+        results: List[JobResult] = [None] * len(jobs)
+        for indices, group_results in zip(groups.values(), settled):
+            for index, result in zip(indices, group_results):
+                results[index] = result
         return results
     finally:
         if tempdir is not None:

@@ -187,6 +187,8 @@ class _WorkerHandle:
         )
         self.process.start()
         child_conn.close()
+        self._stop_lock = threading.Lock()
+        self._stopped = False
         #: monotonic start of the in-flight job (None when idle); the
         #: pool's reaper reads this to spot overdue jobs from outside.
         self.job_started: Optional[float] = None
@@ -269,26 +271,31 @@ class _WorkerHandle:
     def stop(self, timeout: float = 2.0) -> None:
         """Shut the worker down, escalating politely: close -> SIGTERM
         -> SIGKILL, and always reap — a worker that survives two join
-        timeouts must not linger as a zombie."""
-        try:
-            self.conn.send(None)
-        except (OSError, BrokenPipeError):
-            pass
-        self.process.join(timeout)
-        if self.process.is_alive():
-            self.process.terminate()
+        timeouts must not linger as a zombie.  Idempotent: the pool's
+        close and a concurrent respawn may both stop one worker."""
+        with self._stop_lock:
+            if self._stopped:
+                return
+            self._stopped = True
+            try:
+                self.conn.send(None)
+            except (OSError, BrokenPipeError):
+                pass
             self.process.join(timeout)
-        if self.process.is_alive():
-            self.process.kill()
-            # SIGKILL cannot be caught: the join is bounded only to
-            # survive a pathological scheduler, not an unkillable child.
-            self.process.join(timeout)
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-        if not self.process.is_alive():
-            self.process.close()
+            if self.process.is_alive():
+                self.process.terminate()
+                self.process.join(timeout)
+            if self.process.is_alive():
+                self.process.kill()
+                # SIGKILL cannot be caught: the join is bounded only to
+                # survive a pathological scheduler, not an unkillable child.
+                self.process.join(timeout)
+            try:
+                self.conn.close()
+            except OSError:
+                pass
+            if not self.process.is_alive():
+                self.process.close()
 
 
 class _HangDetected(Exception):
@@ -378,7 +385,7 @@ class PersistentWorkerPool:
             # transparently instead of failing this unrelated call.
             try:
                 worker = self._respawn(worker)
-            except WorkerRespawnStorm:
+            except WorkerCrashError:  # a respawn storm, or the pool closed
                 self._idle.put(worker)  # dead handle back: capacity constant
                 raise
         try:
@@ -438,9 +445,11 @@ class PersistentWorkerPool:
         return recent
 
     def _respawn(self, dead: _WorkerHandle) -> _WorkerHandle:
+        """Replace a dead worker.  Raises :class:`WorkerRespawnStorm` past
+        the rate limit, and :class:`WorkerCrashError` once the pool is
+        closed: a replacement spawned after ``close`` would outlive it."""
         with self._lock:
             recent = self._respawn_admit()
-            self.restarts += 1
         # Exponential backoff past the free allowance, slept *outside*
         # the lock so a crash burst slows respawning without freezing
         # counters and unrelated respawns behind one sleeper.
@@ -454,6 +463,9 @@ class PersistentWorkerPool:
                 dead.stop(timeout=0.5)
             except (OSError, ValueError):
                 pass
+            if self._closed:
+                raise WorkerCrashError("pool is closed; dead worker not respawned")
+            self.restarts += 1
             fresh = self._spawn()
             try:
                 self._workers[self._workers.index(dead)] = fresh
@@ -488,7 +500,7 @@ class PersistentWorkerPool:
             else:
                 try:
                     fresh = self._respawn(worker)
-                except WorkerRespawnStorm:
+                except WorkerCrashError:  # a respawn storm, or the pool closed
                     self._idle.put(worker)  # keep the dead handle queued
                     continue
                 self._idle.put(fresh)
@@ -515,18 +527,20 @@ class PersistentWorkerPool:
         return sum(1 for worker in self._workers if worker.alive)
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
+        with self._lock:  # a respawn either finishes first or sees _closed
+            if self._closed:
+                return
+            self._closed = True
+            workers = list(self._workers)
+            self._workers.clear()
         self._reaper_stop.set()
         if self._reaper is not None:
             self._reaper.join(timeout=5.0)
-        for worker in self._workers:
+        for worker in workers:
             try:
                 worker.stop()
             except (OSError, ValueError):
                 pass
-        self._workers.clear()
 
     def __enter__(self) -> "PersistentWorkerPool":
         return self

@@ -135,17 +135,21 @@ def measure_overhead_batch(
     labels: Optional[Sequence[str]] = None,
     store=None,
 ) -> List[OverheadResult]:
-    """Record the workload once, then replay it through each analysis.
+    """Record the workload once, then settle it through every analysis.
 
     Equivalent to calling :func:`measure_overhead` per analysis — replay
     is bit-identical to inline runs (see :mod:`repro.trace`) — but the
     workload is interpreted exactly once however many analyses are
-    measured.  Pass a :class:`repro.trace.TraceStore` to reuse traces
-    across calls (and processes); otherwise the trace lives in memory.
+    measured, and all settle together, segment by segment, as in the
+    batch executor (:func:`repro.trace.replayer.settle_trace`); an
+    analysis object passed twice settles once.  Pass a
+    :class:`repro.trace.TraceStore` to reuse traces across calls (and
+    processes); otherwise the trace lives in memory.
     """
     import io
 
-    from repro.trace import TraceReader, TraceReplayer, record_workload
+    from repro.trace import TraceReader, record_workload
+    from repro.trace.replayer import settle_trace
 
     if store is not None:
         reader = store.get_or_record(workload, scale)
@@ -153,18 +157,19 @@ def measure_overhead_batch(
         buffer = io.BytesIO()
         record_workload(workload, scale, buffer)
         reader = TraceReader(buffer.getvalue())
-    baseline_cycles = reader.summary["plain_cycles"]
-    replayer = TraceReplayer(reader)  # decodes once for all analyses
+    distinct = list({id(analysis): analysis for analysis in analyses}.values())
+    settled = dict(zip(map(id, distinct),
+                       settle_trace(reader, [[analysis] for analysis in distinct])))
 
     results = []
     for index, analysis in enumerate(analyses):
-        profile, reporter = replayer.replay([analysis])
+        profile, reporter, _seconds = settled[id(analysis)]
         label = labels[index] if labels else ""
         results.append(
             OverheadResult(
                 workload=workload.name,
                 label=label or getattr(analysis, "name", "analysis"),
-                baseline_cycles=baseline_cycles,
+                baseline_cycles=reader.summary["plain_cycles"],
                 instrumented_cycles=profile.cycles,
                 profile=profile,
                 reports=list(reporter),

@@ -29,11 +29,14 @@ reports (including backtraces) match exactly.
 The varint payload is decoded once per :class:`TraceReplayer` into a
 flat record list with strings and access addresses resolved; replaying
 the same trace through several analyses (the whole point of recording)
-pays the decode a single time.
+pays the decode a single time.  :func:`settle_trace` does the same
+without holding the decoded trace: it settles every analysis set
+together, one decoded segment at a time.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.vm.cache import CacheConfig, CacheSim
@@ -436,6 +439,44 @@ class ReplayState:
         profile.mem_cycles += self.mem_cycles
         profile.cache = self.vm.cache.stats
         return profile, self.vm.reporter
+
+
+def settle_trace(
+    trace: TraceReader,
+    analysis_sets: Sequence[Sequence[object]],
+    cache_config: Optional[CacheConfig] = None,
+) -> List[Tuple[Profile, Reporter, float]]:
+    """Replay one trace through several independent analysis sets at once.
+
+    Each set gets its own :class:`ReplayState` and equals
+    ``TraceReplayer(trace).replay(analyses)``.  Each segment's payload
+    slice is decoded once, seeded from the string-table prefix and last
+    access address in its snapshot, fired through every state, then
+    dropped, so at most one segment of decoded records is alive.
+    Returns ``(profile, reporter, seconds)`` per set, ``seconds`` being
+    that set's own attach and settle time, without the shared decode.
+    One attachable instance must not appear in two sets: hand-tuned
+    baselines bind to their most recent attach.
+    """
+    states, seconds = [], []
+    for analyses in analysis_sets:
+        started = time.perf_counter()
+        states.append(ReplayState(analyses, cache_config))
+        seconds.append(time.perf_counter() - started)
+    strings = trace.meta["string_table"]
+    payload = trace.payload
+    pos = 0
+    for entry in trace.segments:
+        snapshot = entry["snapshot"]
+        records = decode(payload[pos:pos + entry["ulen"]],
+                         strings[:snapshot["n_strings"]],
+                         snapshot["last_address"])[0]
+        pos += entry["ulen"]
+        for index, state in enumerate(states):
+            started = time.perf_counter()
+            state.run(records)
+            seconds[index] += time.perf_counter() - started
+    return [(*state.finish(), spent) for state, spent in zip(states, seconds)]
 
 
 class TraceReplayer:

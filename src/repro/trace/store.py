@@ -268,6 +268,7 @@ class TraceStore:
         scale: int = 1,
         segment_target_bytes: int = DEFAULT_SEGMENT_TARGET,
         backend: str = "compiled",
+        digest: Optional[str] = None,
     ) -> TraceReader:
         """Open the cached trace for (workload, scale), recording on miss.
 
@@ -283,9 +284,10 @@ class TraceStore:
         left by an older release — is quarantined and re-recorded in
         place, so local corruption self-heals.  Only a corrupt
         *re-recording* (e.g. an injected partial write firing every
-        time) escapes as :class:`StoreCorruptionError`.
+        time) escapes as :class:`StoreCorruptionError`.  ``digest`` is
+        the :func:`module_digest`, when the caller already computed it.
         """
-        digest = module_digest(workload, scale)
+        digest = digest or module_digest(workload, scale)
         path = self.trace_path(workload, scale, digest)
         if path.exists():
             try:

@@ -1,7 +1,10 @@
 """Tests for the batch executor."""
 
+import dataclasses
+
 import pytest
 
+from repro.exec import pool as pool_mod
 from repro.exec import (
     ANALYSIS_SPECS,
     JobSpec,
@@ -10,8 +13,10 @@ from repro.exec import (
     build_analysis,
     run_batch,
 )
+from repro.baselines import HandTunedMSan
 from repro.harness.runner import measure_overhead
-from repro.trace import TraceStore
+from repro.trace import TraceReplayer, TraceStore
+from repro.trace.replayer import settle_trace
 from repro.workloads import ALL
 
 
@@ -103,3 +108,82 @@ def test_job_result_serialization():
     assert as_dict["overhead"] == 2.5
     assert as_dict["workload"] == "w"
     assert not as_dict["cached"]
+
+
+@pytest.fixture
+def settle_calls(monkeypatch):
+    """Spec lists each settle_trace call of the batch executor settled."""
+    calls = []
+
+    def spy(trace, analysis_sets, cache_config=None):
+        calls.append(len(analysis_sets))
+        return settle_trace(trace, analysis_sets, cache_config)
+
+    monkeypatch.setattr(pool_mod, "settle_trace", spy)
+    return calls
+
+
+def test_warm_batch_reads_no_trace(tmp_path):
+    store = TraceStore(tmp_path)
+    cold = run_batch(JOBS, store=store)
+    before = store.integrity_stats()
+    warm = run_batch(JOBS, store=store)
+    after = store.integrity_stats()
+    # Every verified read of the warm batch is a result-cache read, one
+    # per distinct (workload, spec); the traces' payloads stay unread.
+    distinct = {(job.workload, job.spec) for job in JOBS}
+    assert after["verified_reads"] - before["verified_reads"] == len(distinct)
+    assert after["corrupt_detected"] == before["corrupt_detected"]
+    assert warm == [dataclasses.replace(result, cached=True) for result in cold]
+
+
+def test_segment_settle_equals_replay_for_every_spec(tmp_path):
+    reader = TraceStore(tmp_path).get_or_record(
+        ALL["fft"], 1, segment_target_bytes=16 * 1024)
+    assert len(reader.segments) >= 5
+    specs = list(ANALYSIS_SPECS)
+    settled = settle_trace(reader, [[build_analysis(spec)] for spec in specs])
+    replayer = TraceReplayer(reader)
+    for spec, (profile, reporter, seconds) in zip(specs, settled):
+        expected, expected_reporter = replayer.replay([build_analysis(spec)])
+        assert profile.cycles == expected.cycles, spec
+        assert profile.events == expected.events, spec
+        assert profile.metadata_bytes == expected.metadata_bytes, spec
+        assert dataclasses.asdict(profile) == dataclasses.asdict(expected), spec
+        assert list(reporter) == list(expected_reporter), spec
+        assert seconds > 0
+
+
+def test_repeated_handtuned_spec_settles_once(tmp_path, settle_calls):
+    jobs = [JobSpec("bzip2", "msan.handtuned", "LLVM"),
+            JobSpec("bzip2", "msan.handtuned", "LLVM-again")]
+    first, second = run_batch(jobs, store=tmp_path)
+    assert settle_calls == [1]
+    inline = measure_overhead(ALL["bzip2"], HandTunedMSan)
+    for result in (first, second):
+        assert result.instrumented_cycles == inline.instrumented_cycles
+        assert result.metadata_bytes == inline.profile.metadata_bytes
+        assert result.n_reports == len(inline.reports)
+    assert (first.label, second.label) == ("LLVM", "LLVM-again")
+
+
+def test_partly_cached_group_settles_only_misses(tmp_path, settle_calls):
+    run_batch([JobSpec("bzip2", "msan.alda")], store=tmp_path)
+    assert settle_calls == [1]
+    cached, fresh = run_batch(
+        [JobSpec("bzip2", "msan.alda"), JobSpec("bzip2", "eraser.full")],
+        store=tmp_path)
+    assert settle_calls == [1, 1]
+    assert cached.cached and not fresh.cached
+    inline = measure_overhead(ALL["bzip2"], build_analysis("eraser.full"))
+    assert fresh.instrumented_cycles == inline.instrumented_cycles
+
+
+def test_jobless_trace_task_only_records_an_absent_trace(tmp_path):
+    store = TraceStore(tmp_path)
+    task = (str(tmp_path), "bzip2", 1, (), "compiled", 1)
+    assert pool_mod._run_trace(task) == []
+    assert store.has_trace(ALL["bzip2"], 1)
+    before = store.integrity_stats()
+    assert pool_mod._run_trace(task) == []  # present: not even opened
+    assert store.integrity_stats() == before

@@ -73,3 +73,19 @@ def test_closed_pool_rejects_calls():
     with pytest.raises(RuntimeError):
         pool.call(ECHO, 1)
     pool.close()  # idempotent
+
+
+def test_stop_is_idempotent_and_respawn_after_close_is_typed():
+    """``close`` and a caller's respawn may both stop one dead worker:
+    the second stop is a no-op, and the respawn raises the typed crash
+    error instead of spawning a worker that outlives the pool."""
+    pool = PersistentWorkerPool(1)
+    worker = pool._workers[0]
+    worker.stop()
+    worker.stop()  # already stopped and reaped: no AttributeError
+    assert not worker.alive
+    pool.close()
+    with pytest.raises(WorkerCrashError, match="closed"):
+        pool._respawn(worker)
+    assert pool.alive_workers == 0
+    assert pool.restarts == 0
