@@ -3,7 +3,7 @@
 Each shard's snapshot is exactly the payload ``python -m repro.serve
 stats --json`` prints.  Counters and gauges add; histograms merge
 through their sparse bucket counts
-(:func:`repro.serve.metrics.merge_histogram_summaries`), so the
+(:func:`repro.obs.merge_histogram_summaries`), so the
 cluster-wide p50/p95/p99 are re-estimated from the summed distribution
 rather than averaged — an average of percentiles is not a percentile.
 Shards that could not be reached contribute an entry under
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.serve.metrics import merge_histogram_summaries
+from repro.obs import merge_histogram_summaries
 
 
 def merge_snapshots(snapshots: Dict[str, dict]) -> dict:

@@ -28,15 +28,16 @@ stream of generated programs:
   (correct or typed, never wrong) over generated workloads.
 
 CLIs: ``python -m repro.fuzz run | shrink | corpus`` (see
-``docs/FUZZ.md``).  In-process counters surface as the
-``subsystems.fuzz`` tier of ``python -m repro.serve stats``.
+``docs/FUZZ.md``).  In-process counters live in
+:data:`repro.obs.PROCESS` as ``fuzz.*``: ``run --json`` prints them
+under ``stats``, and ``python -m repro.serve stats`` under
+``subsystems.fuzz``.
 """
 
 from __future__ import annotations
 
-import threading
-
 from repro.errors import ReproError
+from repro.obs import PROCESS
 
 
 class FuzzError(ReproError):
@@ -79,38 +80,15 @@ OUTCOMES = (
 #: Outcomes that count as *finds* — the system misbehaved.
 FIND_OUTCOMES = (OUTCOME_DIVERGENCE, OUTCOME_CRASH)
 
-_lock = threading.Lock()
-_counters = {
-    "modules_generated": 0,
-    "cases": 0,
-    "matches": 0,
-    "divergences": 0,
-    "crashes": 0,
-    "timeouts": 0,
-    "typed_faults": 0,
-    "shrink_runs": 0,
-    "shrink_removed": 0,
-    "corpus_replays": 0,
-}
+_COUNTERS = {name: PROCESS.counter("fuzz." + name) for name in (
+    "cases", "matches", "divergences", "crashes", "timeouts",
+    "typed_faults", "shrink_runs", "shrink_removed", "corpus_replays",
+)}
 
 
 def bump(name: str, amount: int = 1) -> None:
-    """Increment one fuzz counter (thread-safe)."""
-    with _lock:
-        _counters[name] = _counters.get(name, 0) + amount
-
-
-def fuzz_stats() -> dict:
-    """Snapshot of the in-process fuzz counters (``subsystems.fuzz``)."""
-    with _lock:
-        return dict(_counters)
-
-
-def reset_stats() -> None:
-    """Zero every counter (tests)."""
-    with _lock:
-        for key in _counters:
-            _counters[key] = 0
+    """Increment one process-wide fuzz counter (``fuzz.<name>``)."""
+    _COUNTERS[name].inc(amount)
 
 
 __all__ = [
@@ -125,6 +103,4 @@ __all__ = [
     "OUTCOME_TIMEOUT",
     "OUTCOME_TYPED_FAULT",
     "bump",
-    "fuzz_stats",
-    "reset_stats",
 ]

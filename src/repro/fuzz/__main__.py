@@ -71,10 +71,11 @@ def _write_repro_script(artifacts: Path, outcome, matrix, faults: float,
 
 
 def _cmd_run(args) -> int:
-    from repro.fuzz import FIND_OUTCOMES, FuzzUsageError, fuzz_stats
+    from repro.fuzz import FIND_OUTCOMES, FuzzUsageError
     from repro.fuzz.faults import fault_plan, installed, suspended
     from repro.fuzz.oracle import DEFAULT_MATRIX, Oracle
     from repro.fuzz.shrink import shrink_outcome
+    from repro.obs import PROCESS
 
     if args.seeds < 1:
         raise FuzzUsageError(f"--seeds must be >= 1, got {args.seeds}")
@@ -152,7 +153,7 @@ def _cmd_run(args) -> int:
         "faults": ({"rate": args.faults, "fault_seed": args.fault_seed,
                     "fires": dict(plan.fires)} if plan is not None else None),
         "finds": finds,
-        "stats": fuzz_stats(),
+        "stats": PROCESS.subsystems()["fuzz"],
     }
     if args.out:
         Path(args.out).write_text(json.dumps(summary, indent=2) + "\n")

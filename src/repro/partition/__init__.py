@@ -36,13 +36,13 @@ invariant cheap to guarantee: **partitioned output is bit-identical to
 monolithic replay** for every workload × analysis spec (enforced by
 ``tests/partition/test_differential.py``).
 
-Process-wide counters are exported through :func:`partition_stats` and
-surface in ``serve stats`` under the ``partition`` subsystem namespace.
+Process-wide counters live in :data:`repro.obs.PROCESS` as
+``partition.*`` and surface in ``serve stats`` under the ``partition``
+subsystem namespace.
 """
 
 from __future__ import annotations
 
-from repro.partition.counters import note_fallback, partition_stats
 from repro.partition.merge import (
     PartitionError,
     PartitionMergeError,
@@ -58,8 +58,6 @@ __all__ = [
     "PartitionShardError",
     "PartitionPlan",
     "ShardSpec",
-    "partition_stats",
-    "note_fallback",
     "plan_partition",
     "replay_partitioned",
 ]

@@ -33,15 +33,21 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence, Tuple, Union
 
+from repro.obs import PROCESS
 from repro.trace.store import TraceStore
 from repro.vm.cache import CacheConfig
 from repro.vm.profile import Profile
 from repro.vm.reporting import Reporter
 
-from repro.partition import counters
 from repro.partition.merge import PartitionError, PartitionShardError, settle
 from repro.partition.planner import PartitionPlan, plan_partition
 from repro.partition.shard import DECODE_SHARD_TASK, decode_shard, hooked_kinds
+
+# Process-wide, reported under ``subsystems.partition`` by ``serve stats``.
+_COUNTERS = {name: PROCESS.counter("partition." + name) for name in (
+    "plans", "shards_planned", "shards_executed", "shard_failures",
+    "merges", "merge_seconds", "replays",
+)}
 
 
 def _shard_payloads(plan: PartitionPlan, meta: dict, root: str, path: str,
@@ -92,8 +98,8 @@ def replay_partitioned(
     meta = store.read_tail_meta(trace_path)
     plan = plan_partition(meta, shards)
 
-    counters.bump("plans")
-    counters.bump("shards_planned", plan.n_shards)
+    _COUNTERS["plans"].inc()
+    _COUNTERS["shards_planned"].inc(plan.n_shards)
     payloads = _shard_payloads(plan, meta, str(store.root), str(trace_path),
                                specs)
     # Warm the hook-probe cache BEFORE settle attaches the analyses: the
@@ -109,14 +115,14 @@ def replay_partitioned(
                 try:
                     artifact = decode_shard(packed)
                 except PartitionError:
-                    counters.bump("shard_failures")
+                    _COUNTERS["shard_failures"].inc()
                     raise
                 except Exception as exc:
-                    counters.bump("shard_failures")
+                    _COUNTERS["shard_failures"].inc()
                     raise PartitionShardError(
                         f"shard {packed['index']} failed to decode: {exc}"
                     ) from exc
-                counters.bump("shards_executed")
+                _COUNTERS["shards_executed"].inc()
                 yield artifact
 
         profile, reporter, merge_stats = settle(
@@ -137,11 +143,11 @@ def replay_partitioned(
                     try:
                         artifact = future.result()
                     except Exception as exc:
-                        counters.bump("shard_failures")
+                        _COUNTERS["shard_failures"].inc()
                         raise PartitionShardError(
                             f"shard {index} failed to decode: {exc}"
                         ) from exc
-                    counters.bump("shards_executed")
+                    _COUNTERS["shards_executed"].inc()
                     yield artifact
 
             profile, reporter, merge_stats = settle(
@@ -149,9 +155,9 @@ def replay_partitioned(
             )
         mode = "pool"
 
-    counters.bump("merges")
-    counters.bump("merge_seconds", merge_stats["merge_seconds"])
-    counters.bump("replays")
+    _COUNTERS["merges"].inc()
+    _COUNTERS["merge_seconds"].inc(merge_stats["merge_seconds"])
+    _COUNTERS["replays"].inc()
     stats = {
         "mode": mode,
         "requested_shards": shards,

@@ -17,8 +17,8 @@ Modules:
 * :mod:`repro.serve.scheduler` — bounded admission + single-flight +
   degraded-mode inline dispatch behind a circuit breaker;
 * :mod:`repro.serve.tasks` — the worker-side replay task;
-* :mod:`repro.serve.metrics` — counters/gauges/latency histograms,
-  served via ``STATS`` frames;
+* :mod:`repro.serve.metrics` — renders the ``STATS`` snapshot of the
+  server's :class:`repro.obs.MetricsRegistry`;
 * :mod:`repro.serve.client` — blocking client (retry/backoff + circuit
   breaker) + the harness adapter behind
   ``python -m repro.harness figN --server HOST:PORT``;

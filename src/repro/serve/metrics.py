@@ -1,227 +1,14 @@
-"""Metrics layer for the analysis daemon: counters, gauges, histograms.
+"""Human-readable rendering of the daemon's ``STATS`` snapshot.
 
-Deliberately dependency-free and cheap on the hot path: a counter
-increment is one ``+=`` under a lock shared per registry, and a
-histogram observation is one bucket increment (log-spaced bounds, found
-by bisection).  Percentiles are estimated from the bucket cumulative
-distribution with linear interpolation inside the winning bucket —
-the same approach Prometheus takes — so memory stays O(buckets) no
-matter how many observations arrive.
-
-A :class:`MetricsRegistry` snapshot is a plain JSON-able dict; the
-server ships it verbatim in ``STATS`` frames, and
-``python -m repro.serve stats`` renders it for humans.
+The metrics themselves (counters, gauges, histograms and the registry
+whose snapshot the server ships) live in :mod:`repro.obs`;
+``python -m repro.serve stats`` renders a snapshot with
+:func:`render_snapshot`.
 """
 
 from __future__ import annotations
 
-import bisect
-import threading
-import time
-from typing import Dict, List, Optional, Sequence
-
-
-def _default_bounds() -> List[float]:
-    """Log-spaced latency bounds: 0.05 ms .. ~10 minutes, factor 1.35."""
-    bounds = []
-    value = 0.05
-    while value < 600_000.0:
-        bounds.append(value)
-        value *= 1.35
-    return bounds
-
-
-class Counter:
-    """Monotonically increasing count."""
-
-    def __init__(self, lock: threading.Lock) -> None:
-        self._lock = lock
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        with self._lock:
-            self.value += amount
-
-
-class Gauge:
-    """A value that goes up and down (queue depth, in-flight requests)."""
-
-    def __init__(self, lock: threading.Lock) -> None:
-        self._lock = lock
-        self.value = 0
-
-    def set(self, value) -> None:
-        with self._lock:
-            self.value = value
-
-    def inc(self, amount: int = 1) -> None:
-        with self._lock:
-            self.value += amount
-
-    def dec(self, amount: int = 1) -> None:
-        with self._lock:
-            self.value -= amount
-
-
-class Histogram:
-    """Fixed-bucket histogram with percentile estimation.
-
-    ``observe`` takes milliseconds (by convention; the math is
-    unit-agnostic).  ``percentile(p)`` interpolates within the bucket
-    containing the p-quantile; observations beyond the last bound are
-    clamped to the observed maximum.
-    """
-
-    def __init__(self, lock: threading.Lock,
-                 bounds: Optional[Sequence[float]] = None) -> None:
-        self._lock = lock
-        self.bounds = list(bounds) if bounds is not None else _default_bounds()
-        self.bucket_counts = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = 0.0
-
-    def observe(self, value: float) -> None:
-        index = bisect.bisect_left(self.bounds, value)
-        with self._lock:
-            self.bucket_counts[index] += 1
-            self.count += 1
-            self.total += value
-            if value < self.min:
-                self.min = value
-            if value > self.max:
-                self.max = value
-
-    def percentile(self, p: float) -> float:
-        """Estimate the p-th percentile (p in [0, 100])."""
-        if self.count == 0:
-            return 0.0
-        rank = (p / 100.0) * self.count
-        cumulative = 0
-        for index, bucket_count in enumerate(self.bucket_counts):
-            if bucket_count == 0:
-                continue
-            previous = cumulative
-            cumulative += bucket_count
-            if cumulative >= rank:
-                lower = self.bounds[index - 1] if index > 0 else 0.0
-                upper = (self.bounds[index] if index < len(self.bounds)
-                         else self.max)
-                lower = max(lower, self.min if self.min != float("inf") else lower)
-                upper = min(upper, self.max) if self.max else upper
-                if upper <= lower:
-                    return upper
-                fraction = (rank - previous) / bucket_count
-                return lower + (upper - lower) * fraction
-        return self.max
-
-    def summary(self) -> dict:
-        with self._lock:
-            if self.count == 0:
-                return {"count": 0}
-            return {
-                "count": self.count,
-                "mean": self.total / self.count,
-                "min": self.min,
-                "max": self.max,
-                "p50": self.percentile(50),
-                "p95": self.percentile(95),
-                "p99": self.percentile(99),
-                # Sparse bucket counts (index -> count over the default
-                # log-spaced bounds) so snapshots from several servers
-                # can be merged into cluster-wide percentiles — see
-                # merge_histogram_summaries.
-                "buckets": {
-                    str(index): count
-                    for index, count in enumerate(self.bucket_counts)
-                    if count
-                },
-            }
-
-
-def merge_histogram_summaries(summaries: Sequence[dict]) -> dict:
-    """Merge per-server histogram summaries into one cluster-wide view.
-
-    Summaries must come from histograms over the *default* log-spaced
-    bounds (every serve histogram does).  Bucket counts add exactly;
-    percentiles are re-estimated from the merged cumulative
-    distribution with the same interpolation a single histogram uses,
-    so a cluster-wide p99 is as trustworthy as a single server's.
-    """
-    bounds = _default_bounds()
-    bucket_counts = [0] * (len(bounds) + 1)
-    count = 0
-    total = 0.0
-    minimum = float("inf")
-    maximum = 0.0
-    for summary in summaries:
-        if not summary or not summary.get("count"):
-            continue
-        count += summary["count"]
-        total += summary.get("mean", 0.0) * summary["count"]
-        minimum = min(minimum, summary.get("min", minimum))
-        maximum = max(maximum, summary.get("max", 0.0))
-        for index, bucket_count in (summary.get("buckets") or {}).items():
-            bucket_counts[int(index)] += bucket_count
-    if count == 0:
-        return {"count": 0}
-    merged = Histogram(threading.Lock(), bounds)
-    merged.bucket_counts = bucket_counts
-    merged.count = count
-    merged.total = total
-    merged.min = minimum
-    merged.max = maximum
-    return merged.summary()
-
-
-class MetricsRegistry:
-    """Named counters/gauges/histograms with a JSON-able snapshot."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
-        self._started = time.time()
-
-    def counter(self, name: str) -> Counter:
-        metric = self._counters.get(name)
-        if metric is None:
-            metric = self._counters.setdefault(name, Counter(self._lock))
-        return metric
-
-    def gauge(self, name: str) -> Gauge:
-        metric = self._gauges.get(name)
-        if metric is None:
-            metric = self._gauges.setdefault(name, Gauge(self._lock))
-        return metric
-
-    def histogram(self, name: str,
-                  bounds: Optional[Sequence[float]] = None) -> Histogram:
-        metric = self._histograms.get(name)
-        if metric is None:
-            metric = self._histograms.setdefault(
-                name, Histogram(self._lock, bounds)
-            )
-        return metric
-
-    def snapshot(self) -> dict:
-        """One consistent-enough view of every metric, JSON-able."""
-        snap = {
-            "uptime_seconds": time.time() - self._started,
-            "counters": {name: c.value for name, c in sorted(self._counters.items())},
-            "gauges": {name: g.value for name, g in sorted(self._gauges.items())},
-            "histograms": {
-                name: h.summary() for name, h in sorted(self._histograms.items())
-            },
-        }
-        counters = snap["counters"]
-        hits = counters.get("cache_hits", 0)
-        misses = counters.get("cache_misses", 0)
-        if hits + misses:
-            snap["cache_hit_rate"] = hits / (hits + misses)
-        return snap
+from typing import List, Optional
 
 
 def render_health(health: Optional[dict]) -> List[str]:
@@ -260,11 +47,11 @@ def render_health(health: Optional[dict]) -> List[str]:
         lines.append("  faultline: not installed")
     store = health.get("store") or {}
     if store:
-        lines.append(
-            f"  store: verified_reads={store.get('verified_reads', 0)} "
-            f"corrupt_detected={store.get('corrupt_detected', 0)} "
-            f"quarantined={store.get('quarantined', 0)}"
-        )
+        lines.append("  store: " + " ".join(
+            f"{key}={store.get(key, 0)}"
+            for key in ("verified_trace_reads", "verified_result_reads",
+                        "corrupt_detected", "quarantined")
+        ))
     return lines
 
 
@@ -273,17 +60,7 @@ def render_snapshot(snap: dict) -> str:
     lines = [f"uptime: {snap.get('uptime_seconds', 0.0):.1f}s"]
     if "cache_hit_rate" in snap:
         lines.append(f"cache_hit_rate: {snap['cache_hit_rate']:.3f}")
-    compile_cache = snap.get("compile_cache")
-    if compile_cache is not None:
-        lines.append(
-            "compile_cache: "
-            f"hits={compile_cache.get('hits', 0)} "
-            f"misses={compile_cache.get('misses', 0)} "
-            f"entries={compile_cache.get('entries', 0)}"
-        )
     for subsystem, stats in sorted(snap.get("subsystems", {}).items()):
-        if subsystem == "vm.compile":
-            continue  # rendered above as the legacy compile_cache line
         rendered = " ".join(f"{key}={value}" for key, value in sorted(stats.items()))
         lines.append(f"{subsystem}: {rendered}")
     lines.extend(render_health(snap.get("health")))

@@ -40,8 +40,8 @@ from repro.exec.workers import (
     WorkerCrashError,
     WorkerHangError,
 )
+from repro.obs import MetricsRegistry
 from repro.serve.config import ResilienceConfig
-from repro.serve.metrics import MetricsRegistry
 from repro.serve.resilience import CircuitBreaker
 from repro.serve.tasks import REPLAY_DIGEST_TASK
 
@@ -192,7 +192,7 @@ class ReplayScheduler:
         import time as _time
 
         from repro.exec.pool import analysis_fingerprint
-        from repro.partition import PartitionError, counters, replay_partitioned
+        from repro.partition import PartitionError, replay_partitioned
         from repro.trace.format import TraceFormatError
         from repro.trace.store import TraceStore
 
@@ -211,7 +211,6 @@ class ReplayScheduler:
                 store, path, [spec], self.partition_shards, pool=self.pool
             )
         except (PartitionError, TraceFormatError) as exc:
-            counters.note_fallback()
             self.metrics.counter("partition_fallbacks").inc()
             self.metrics.counter(
                 "partition_fallback_" + type(exc).__name__).inc()

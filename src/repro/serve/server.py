@@ -50,12 +50,12 @@ from typing import Optional
 from repro import faultline
 from repro.exec.pool import ANALYSIS_SPECS, analysis_fingerprint
 from repro.exec.workers import PersistentWorkerPool, TaskError, WorkerCrashError
+from repro.obs import PROCESS, MetricsRegistry
 from repro.trace.format import TraceFormatError, TraceReader
 from repro.trace.store import StoreCorruptionError, TraceStore
 
 from repro.serve import protocol
 from repro.serve.config import ResilienceConfig
-from repro.serve.metrics import MetricsRegistry
 from repro.serve.scheduler import BusyError, ReplayScheduler
 
 
@@ -540,25 +540,16 @@ class AnalysisServer:
 
     def snapshot(self) -> dict:
         snap = self.metrics.snapshot()
-        # Per-subsystem in-process counters, namespaced in one block:
-        # the VM closure-compilation cache (repro.vm.compile) and the
-        # instrumentation-elision pass (repro.staticpass).  They cover
-        # embedded servers and any recording done in this process; pool
-        # workers keep their own caches warm.
-        from repro.fuzz import fuzz_stats
-        from repro.partition import partition_stats
-        from repro.staticpass import staticpass_stats
-        from repro.vm.compile import compile_cache_stats
+        # This process's subsystem counters, grouped by prefix: the VM
+        # closure-compile cache, the elision pass, partitioned replay and
+        # the fuzzer.  They cover embedded servers and any recording
+        # done in this process; pool workers keep their own.
+        import repro.fuzz  # noqa: F401 - imported for their counters
+        import repro.partition  # noqa: F401
+        import repro.staticpass  # noqa: F401
+        import repro.vm.compile  # noqa: F401
 
-        compile_cache = compile_cache_stats()
-        snap["subsystems"] = {
-            "vm.compile": compile_cache,
-            "staticpass": staticpass_stats(),
-            "partition": partition_stats(),
-            "fuzz": fuzz_stats(),
-        }
-        # Legacy alias, predates the namespaced block.
-        snap["compile_cache"] = compile_cache
+        snap["subsystems"] = PROCESS.subsystems()
         if self.pool is not None:
             snap["gauges"]["workers_alive"] = self.pool.alive_workers
             snap["gauges"]["worker_restarts"] = self.pool.restarts

@@ -53,7 +53,6 @@ from repro.staticpass.elide import (
     elision_mask,
     policy_for,
     register_policy,
-    staticpass_stats,
 )
 from repro.staticpass.escape import EscapeInfo, analyze_escapes
 from repro.staticpass.interproc import InterprocContext, analyze_module
@@ -91,6 +90,5 @@ __all__ = [
     "reaching_definitions",
     "register_policy",
     "solve_forward",
-    "staticpass_stats",
     "summarize_module",
 ]

@@ -51,13 +51,12 @@ output; only event counts and costs may drop.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.ir.instructions import Call, Load, Store
 from repro.ir.module import Module
+from repro.obs import PROCESS, Memo
 from repro.staticpass.cfg import CFG, CFGError, build_cfg
 from repro.staticpass.dominators import dominator_tree
 from repro.staticpass.escape import STACK_LOCAL, analyze_escapes
@@ -368,62 +367,25 @@ def _analyze_function(cfg: CFG, policy: ElisionPolicy, multithreaded: bool,
 # cache (repro.vm.compile): serve workers and the harness analyze each
 # (module, policy) pair exactly once.
 # ----------------------------------------------------------------------
-_CACHE: "OrderedDict[Tuple[str, ElisionPolicy], ElisionReport]" = OrderedDict()
-_CACHE_CAPACITY = 64
-_LOCK = threading.Lock()
-_HITS = 0
-_MISSES = 0
-_SITES_CONSIDERED = 0
-_SITES_ELIDED = 0
-
-
-def staticpass_stats() -> Dict[str, int]:
-    """Process-wide elision counters (surfaced by ``repro.serve`` under
-    the ``staticpass.*`` namespace of the ``stats`` frame)."""
-    from repro.staticpass.interproc import interproc_stats
-
-    with _LOCK:
-        stats = {
-            "mask_cache_hits": _HITS,
-            "mask_cache_misses": _MISSES,
-            "masks_cached": len(_CACHE),
-            "sites_considered": _SITES_CONSIDERED,
-            "sites_elided": _SITES_ELIDED,
-        }
-    stats.update(interproc_stats())
-    return stats
-
-
-def clear_staticpass_cache() -> None:
-    from repro.staticpass.interproc import clear_interproc_cache
-
-    global _HITS, _MISSES, _SITES_CONSIDERED, _SITES_ELIDED
-    with _LOCK:
-        _CACHE.clear()
-        _HITS = 0
-        _MISSES = 0
-        _SITES_CONSIDERED = 0
-        _SITES_ELIDED = 0
-    clear_interproc_cache()
+_MEMO = Memo("staticpass.mask_cache_", 64)
+_SITES_CONSIDERED = PROCESS.counter("staticpass.sites_considered")
+_SITES_ELIDED = PROCESS.counter("staticpass.sites_elided")
 
 
 def analyze_elision(module: Module, policy: ElisionPolicy,
                     digest: Optional[str] = None) -> ElisionReport:
     """Run the full pass; results are memoized by (IR digest, policy)."""
-    global _HITS, _MISSES, _SITES_CONSIDERED, _SITES_ELIDED
     from repro.vm.compile import ir_digest
 
     if digest is None:
         digest = ir_digest(module)
-    key = (digest, policy)
-    with _LOCK:
-        cached = _CACHE.get(key)
-        if cached is not None:
-            _CACHE.move_to_end(key)
-            _HITS += 1
-            return cached
-        _MISSES += 1
+    return _MEMO.get_or_build(
+        (digest, policy), lambda: _build_report(module, policy, digest)
+    )
 
+
+def _build_report(module: Module, policy: ElisionPolicy,
+                    digest: str) -> ElisionReport:
     report = ElisionReport(policy, _is_multithreaded(module))
     if policy.enabled:
         ctx = None
@@ -443,13 +405,8 @@ def analyze_elision(module: Module, policy: ElisionPolicy,
             )
             report.functions[name] = census
             report.mask.update(mask)
-
-    with _LOCK:
-        _CACHE[key] = report
-        while len(_CACHE) > _CACHE_CAPACITY:
-            _CACHE.popitem(last=False)
-        _SITES_CONSIDERED += report.considered
-        _SITES_ELIDED += report.elided
+    _SITES_CONSIDERED.inc(report.considered)
+    _SITES_ELIDED.inc(report.elided)
     return report
 
 

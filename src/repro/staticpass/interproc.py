@@ -19,19 +19,18 @@ elision pass asks behind an :class:`InterprocContext`:
 
 The context is policy-independent, so one run serves every analysis
 attached to the same module; results are memoized process-wide by IR
-digest like the elision mask cache, with counters surfaced through
-``repro.staticpass.elide.staticpass_stats``.
+digest like the elision mask cache, counted in :data:`repro.obs.PROCESS`
+as ``staticpass.interproc_cache_*``.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.ir.instructions import Call
 from repro.ir.module import Module
+from repro.obs import Memo
 from repro.staticpass.alias import TOP, AliasInfo, analyze_aliases
 from repro.staticpass.callgraph import CallGraph, build_call_graph
 from repro.staticpass.lockset import LockInfo, analyze_locksets
@@ -89,53 +88,21 @@ class InterprocContext:
 # ----------------------------------------------------------------------
 # process-wide memo, keyed by IR digest (policy-independent)
 # ----------------------------------------------------------------------
-_CACHE: "OrderedDict[str, InterprocContext]" = OrderedDict()
-_CACHE_CAPACITY = 32
-_LOCK = threading.Lock()
-_HITS = 0
-_MISSES = 0
-
-
-def interproc_stats() -> Dict[str, int]:
-    with _LOCK:
-        return {
-            "interproc_cache_hits": _HITS,
-            "interproc_cache_misses": _MISSES,
-            "interproc_modules_cached": len(_CACHE),
-        }
-
-
-def clear_interproc_cache() -> None:
-    global _HITS, _MISSES
-    with _LOCK:
-        _CACHE.clear()
-        _HITS = 0
-        _MISSES = 0
+_MEMO = Memo("staticpass.interproc_cache_", 32)
 
 
 def analyze_module(module: Module, digest: Optional[str] = None) -> InterprocContext:
     """Build (or recall) the interprocedural bundle for one module."""
-    global _HITS, _MISSES
     from repro.vm.compile import ir_digest
 
     if digest is None:
         digest = ir_digest(module)
-    with _LOCK:
-        cached = _CACHE.get(digest)
-        if cached is not None:
-            _CACHE.move_to_end(digest)
-            _HITS += 1
-            return cached
-        _MISSES += 1
+    return _MEMO.get_or_build(digest, lambda: _analyze(module))
 
+
+def _analyze(module: Module) -> InterprocContext:
     graph = build_call_graph(module)
     aliases = analyze_aliases(module, graph)
     summaries = summarize_module(module, graph, aliases)
     locks = analyze_locksets(module, graph, aliases, summaries)
-    context = InterprocContext(module, graph, aliases, summaries, locks)
-
-    with _LOCK:
-        _CACHE[digest] = context
-        while len(_CACHE) > _CACHE_CAPACITY:
-            _CACHE.popitem(last=False)
-    return context
+    return InterprocContext(module, graph, aliases, summaries, locks)

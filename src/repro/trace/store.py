@@ -38,7 +38,6 @@ import json
 import os
 import re
 import tempfile
-import threading
 import time
 from pathlib import Path
 from typing import Callable, Dict, Optional, Union
@@ -46,6 +45,7 @@ from typing import Callable, Dict, Optional, Union
 from repro import faultline
 from repro.errors import VMError
 from repro.ir.text import print_module
+from repro.obs import MetricsRegistry
 from repro.workloads.base import Workload
 
 from repro.trace.format import (
@@ -66,11 +66,12 @@ class StoreCorruptionError(VMError):
         self.reason = reason
 
 
-# This process's integrity counters, keyed by store root: TraceStore
-# instances are created ad hoc, so per-instance counters never accumulate.
-_integrity_lock = threading.Lock()
-_integrity: Dict[str, Dict[str, int]] = {}
-_COUNTERS = ("verified_reads", "corrupt_detected", "quarantined")
+# This process's integrity counters, one registry per store root:
+# TraceStore instances are created ad hoc, so per-instance counters
+# never accumulate.
+_root_metrics: Dict[str, MetricsRegistry] = {}
+_COUNTERS = ("verified_trace_reads", "verified_result_reads",
+             "corrupt_detected", "quarantined")
 _resolved = functools.lru_cache(maxsize=1024)(os.path.realpath)  # once per root
 
 
@@ -126,20 +127,17 @@ class TraceStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         (self.root / "results").mkdir(exist_ok=True)
-        self._counters_key = _resolved(str(self.root))
+        root = _resolved(str(self.root))
+        self._metrics = (_root_metrics.get(root)
+                         or _root_metrics.setdefault(root, MetricsRegistry()))
 
     def _bump(self, name: str) -> None:
-        with _integrity_lock:
-            counters = _integrity.setdefault(self._counters_key,
-                                             dict.fromkeys(_COUNTERS, 0))
-            counters[name] += 1
+        self._metrics.counter(name).inc()
 
     def integrity_stats(self) -> dict:
         """Verified-read / corruption / quarantine counters of this
         store's root, in this process."""
-        with _integrity_lock:
-            return dict(_integrity.get(self._counters_key)
-                        or dict.fromkeys(_COUNTERS, 0))
+        return {name: self._metrics.counter(name).value for name in _COUNTERS}
 
     # -- integrity -----------------------------------------------------
     @property
@@ -253,7 +251,7 @@ class TraceStore:
                       f"its address {expect_digest[:16]}...")
             self.quarantine(path, reason)
             raise StoreCorruptionError(path, reason)
-        self._bump("verified_reads")
+        self._bump("verified_trace_reads")
         return reader
 
     # -- traces --------------------------------------------------------
@@ -351,7 +349,7 @@ class TraceStore:
             self._bump("corrupt_detected")
             self.quarantine(path, f"segment at offset {entry['offset']}: {exc}")
             raise StoreCorruptionError(path, str(exc)) from None
-        self._bump("verified_reads")
+        self._bump("verified_trace_reads")
         return raw
 
     def has_trace(self, workload: Workload, scale: int = 1) -> bool:
@@ -449,7 +447,7 @@ class TraceStore:
             self._bump("corrupt_detected")
             self.quarantine(path, "result record does not match its sha256")
             return None
-        self._bump("verified_reads")
+        self._bump("verified_result_reads")
         return record
 
     def load_result(self, key: str) -> Optional[dict]:

@@ -51,8 +51,6 @@ module; :meth:`Hooks.add` raises after that instead of being missed.
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import VMError
@@ -69,10 +67,10 @@ from repro.ir.instructions import (
     Store,
 )
 from repro.ir.module import Module
+from repro.obs import Memo
 from repro.vm.cache import CacheSim
 from repro.vm.events import bind_site
 from repro.vm.interpreter import (
-    _BLOCKED_JOIN,
     _CALL_CYCLES,
     _DONE,
     _EIGHT,
@@ -151,11 +149,7 @@ class CompiledModule:
 # ----------------------------------------------------------------------
 # stage-1 cache, keyed by IR digest
 # ----------------------------------------------------------------------
-_CACHE_LOCK = threading.Lock()
-_CACHE: "OrderedDict[str, CompiledModule]" = OrderedDict()
-_CACHE_CAPACITY = 128
-_HITS = 0
-_MISSES = 0
+_MEMO = Memo("vm.compile.", 128)
 
 
 def ir_digest(module: Module) -> str:
@@ -169,39 +163,11 @@ def ir_digest(module: Module) -> str:
     return hashlib.sha256(print_module(module).encode("utf-8")).hexdigest()
 
 
-def compile_cache_stats() -> Dict[str, int]:
-    """Process-wide stage-1 cache counters (also surfaced by
-    ``repro.serve``'s ``stats`` command)."""
-    with _CACHE_LOCK:
-        return {"hits": _HITS, "misses": _MISSES, "entries": len(_CACHE)}
-
-
-def clear_compile_cache() -> None:
-    global _HITS, _MISSES
-    with _CACHE_LOCK:
-        _CACHE.clear()
-        _HITS = 0
-        _MISSES = 0
-
-
 def compile_module(module: Module, digest: Optional[str] = None) -> CompiledModule:
     """Stage 1 with digest-keyed, process-wide memoization."""
-    global _HITS, _MISSES
     if digest is None:
         digest = ir_digest(module)
-    with _CACHE_LOCK:
-        cached = _CACHE.get(digest)
-        if cached is not None:
-            _CACHE.move_to_end(digest)
-            _HITS += 1
-            return cached
-        _MISSES += 1
-    compiled = _compile_module(module, digest)
-    with _CACHE_LOCK:
-        _CACHE[digest] = compiled
-        while len(_CACHE) > _CACHE_CAPACITY:
-            _CACHE.popitem(last=False)
-    return compiled
+    return _MEMO.get_or_build(digest, lambda: _compile_module(module, digest))
 
 
 def _compile_module(module: Module, digest: str) -> CompiledModule:

@@ -129,10 +129,12 @@ def test_warm_batch_reads_no_trace(tmp_path):
     before = store.integrity_stats()
     warm = run_batch(JOBS, store=store)
     after = store.integrity_stats()
-    # Every verified read of the warm batch is a result-cache read, one
-    # per distinct (workload, spec); the traces' payloads stay unread.
+    # The warm batch reads one cached result per distinct (workload,
+    # spec); the traces' payloads stay unread.
     distinct = {(job.workload, job.spec) for job in JOBS}
-    assert after["verified_reads"] - before["verified_reads"] == len(distinct)
+    assert after["verified_trace_reads"] == before["verified_trace_reads"]
+    assert (after["verified_result_reads"] - before["verified_result_reads"]
+            == len(distinct))
     assert after["corrupt_detected"] == before["corrupt_detected"]
     assert warm == [dataclasses.replace(result, cached=True) for result in cold]
 

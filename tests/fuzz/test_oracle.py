@@ -3,7 +3,7 @@ end-to-end MATCH runs over the full default matrix."""
 
 import pytest
 
-from repro.fuzz import FuzzUsageError, fuzz_stats
+from repro.fuzz import FuzzUsageError
 from repro.fuzz.oracle import (
     DEFAULT_MATRIX,
     Observation,
@@ -12,6 +12,7 @@ from repro.fuzz.oracle import (
     parse_cell,
     parse_matrix,
 )
+from repro.obs import PROCESS
 
 
 class TestCellGrammar:
@@ -117,10 +118,10 @@ class TestEndToEnd:
             assert fired > 0
 
     def test_stats_counters_advance(self):
-        before = fuzz_stats()["cases"]
+        before = PROCESS.subsystems()["fuzz"]["cases"]
         with Oracle(("compiled/off/mono/inline",)) as oracle:
             oracle.run_seed(0, events=300)
-        assert fuzz_stats()["cases"] == before + 1
+        assert PROCESS.subsystems()["fuzz"]["cases"] == before + 1
 
     def test_bad_timeout_rejected(self):
         with pytest.raises(FuzzUsageError):

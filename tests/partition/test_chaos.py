@@ -13,11 +13,11 @@ import pytest
 from repro import faultline
 from repro.faultline import FAULT_POINTS, FaultPlan, FaultSpec
 from repro.exec.workers import PersistentWorkerPool
+from repro.obs import PROCESS
 
 from repro.partition import (
     PartitionMergeError,
     PartitionShardError,
-    partition_stats,
     replay_partitioned,
 )
 
@@ -45,10 +45,10 @@ def test_fault_points_registered():
 def test_shard_fail_inline_is_typed(recorded, part_store):
     path = recorded("fft")
     _arm("partition.shard.fail", max_fires=1)
-    before = partition_stats()
+    before = PROCESS.subsystems()["partition"]
     with pytest.raises(PartitionShardError):
         replay_partitioned(part_store, path, ["uaf.alda"], 2)
-    after = partition_stats()
+    after = PROCESS.subsystems()["partition"]
     assert after["shard_failures"] == before["shard_failures"] + 1
     # The fault burned out; the same call now succeeds.
     profile, _reporter, _stats = replay_partitioned(

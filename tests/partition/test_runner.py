@@ -8,7 +8,8 @@ from repro.exec.pool import JobSpec, build_analysis, run_batch
 from repro.exec.workers import PersistentWorkerPool
 from repro.trace.replayer import TraceReplayer
 
-from repro.partition import partition_stats, replay_partitioned
+from repro.obs import PROCESS
+from repro.partition import replay_partitioned
 
 
 def _mono(store, path, spec):
@@ -46,9 +47,9 @@ def test_stats_shape(recorded, part_store):
 
 def test_counters_advance(recorded, part_store):
     path = recorded("fft")
-    before = partition_stats()
+    before = PROCESS.subsystems()["partition"]
     replay_partitioned(part_store, path, ["uaf.alda"], 2)
-    after = partition_stats()
+    after = PROCESS.subsystems()["partition"]
     assert after["plans"] == before["plans"] + 1
     assert after["replays"] == before["replays"] + 1
     assert (after["shards_executed"] - before["shards_executed"]

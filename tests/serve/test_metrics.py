@@ -1,10 +1,7 @@
 """Metrics layer unit tests."""
 
-from repro.serve.metrics import (
-    Histogram,
-    MetricsRegistry,
-    render_snapshot,
-)
+from repro.obs import Histogram, MetricsRegistry
+from repro.serve.metrics import render_snapshot
 
 
 def test_counters_and_gauges():
@@ -69,14 +66,21 @@ def test_snapshot_is_json_able_and_renders():
 def test_render_snapshot_subsystem_block():
     snap = {
         "uptime_seconds": 1.0,
-        "compile_cache": {"hits": 3, "misses": 1, "entries": 1},
         "subsystems": {
             "vm.compile": {"hits": 3, "misses": 1, "entries": 1},
             "staticpass": {"mask_cache_hits": 2, "sites_elided": 9},
         },
     }
     text = render_snapshot(snap)
-    assert "compile_cache: hits=3 misses=1 entries=1" in text
+    assert "vm.compile: entries=1 hits=3 misses=1" in text
     assert "staticpass: mask_cache_hits=2 sites_elided=9" in text
-    # vm.compile is not rendered twice
-    assert text.count("hits=3") == 1
+    assert "compile_cache" not in text
+
+
+def test_render_health_prints_both_verified_read_counts():
+    text = render_snapshot({"health": {"store": {
+        "verified_trace_reads": 2, "verified_result_reads": 5,
+        "corrupt_detected": 0, "quarantined": 1,
+    }}})
+    assert ("store: verified_trace_reads=2 verified_result_reads=5 "
+            "corrupt_detected=0 quarantined=1") in text

@@ -76,7 +76,6 @@ def test_fault_falls_back_to_monolithic(make_server, fft_trace):
     assert snap["counters"]["partition_fallbacks"] == 1
     assert snap["counters"]["partition_fallback_PartitionMergeError"] == 1
     assert snap["counters"].get("partitioned_replays", 0) == 0
-    assert snap["subsystems"]["partition"]["fallbacks"] >= 1
 
 
 def test_small_traces_skip_partitioning(make_server, fft_trace):

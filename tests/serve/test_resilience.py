@@ -320,7 +320,8 @@ def test_stats_snapshot_has_health_block(make_server):
     assert health["breaker"]["state"] == "closed"
     assert health["pool"]["size"] == 2
     assert health["faultline"] == {"installed": False}
-    assert "verified_reads" in health["store"]
+    assert "verified_trace_reads" in health["store"]
+    assert "verified_result_reads" in health["store"]
     assert "quarantined" in health["store"]
     assert snap["config"]["resilience"]["max_attempts"] >= 1
 

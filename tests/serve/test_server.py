@@ -183,15 +183,18 @@ def test_stats_frame_shape(make_server, fft_trace):
     for percentile_key in ("p50", "p95", "p99"):
         assert latency[percentile_key] > 0
     assert snap["config"]["workers"] == 2
-    # Per-subsystem counters live in one namespaced block; the
-    # top-level compile_cache key is a legacy alias of vm.compile.
+    # Process-wide counters live in one block, grouped by subsystem;
+    # the legacy top-level compile_cache alias is gone.
     subsystems = snap["subsystems"]
-    assert snap["compile_cache"] == subsystems["vm.compile"]
+    assert "compile_cache" not in snap
+    assert {"vm.compile", "staticpass", "partition", "fuzz"} <= set(subsystems)
     assert set(subsystems["vm.compile"]) == {"hits", "misses", "entries"}
     staticpass = subsystems["staticpass"]
-    for key in ("mask_cache_hits", "mask_cache_misses", "masks_cached",
-                "sites_considered", "sites_elided"):
+    for key in ("mask_cache_hits", "mask_cache_misses", "mask_cache_entries",
+                "interproc_cache_hits", "interproc_cache_misses",
+                "interproc_cache_entries", "sites_considered", "sites_elided"):
         assert isinstance(staticpass[key], int)
+    assert "fallbacks" not in subsystems["partition"]
     import json
 
     json.dumps(snap)  # STATS payload must stay JSON-able end to end

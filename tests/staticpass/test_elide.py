@@ -8,9 +8,10 @@ from repro.staticpass import (
     analyze_elision,
     elision_mask,
     policy_for,
-    staticpass_stats,
 )
-from repro.staticpass.elide import POLICIES, clear_staticpass_cache
+from repro.obs import PROCESS
+from repro.staticpass import elide
+from repro.staticpass.elide import POLICIES
 
 RACE_POLICY = ElisionPolicy(
     "test", skip_stack_local=True, skip_dominated=True,
@@ -318,20 +319,23 @@ class TestMultithreading:
 
 class TestCache:
     def test_memoized_by_digest_and_policy(self):
-        clear_staticpass_cache()
+        elide._MEMO.clear()
+        before = PROCESS.subsystems()["staticpass"]
         module = parse_module(TestDominatedRule.HEAP_RELOAD)
         first = analyze_elision(module, CHECK_POLICY)
         second = analyze_elision(module, CHECK_POLICY)
         assert second is first
-        stats = staticpass_stats()
-        assert stats["mask_cache_hits"] == 1
-        assert stats["mask_cache_misses"] == 1
-        assert stats["masks_cached"] == 1
-        assert stats["sites_considered"] == first.considered
-        assert stats["sites_elided"] == first.elided
+        stats = PROCESS.subsystems()["staticpass"]
+        delta = {key: stats[key] - before[key] for key in stats}
+        assert delta["mask_cache_hits"] == 1
+        assert delta["mask_cache_misses"] == 1
+        assert stats["mask_cache_entries"] == 1
+        assert delta["sites_considered"] == first.considered
+        assert delta["sites_elided"] == first.elided
         # A different policy is a different cache entry.
         analyze_elision(module, RACE_POLICY)
-        assert staticpass_stats()["mask_cache_misses"] == 2
+        after = PROCESS.subsystems()["staticpass"]
+        assert after["mask_cache_misses"] - before["mask_cache_misses"] == 2
 
     def test_elision_mask_shape(self):
         module = parse_module(TestDominatedRule.HEAP_RELOAD)

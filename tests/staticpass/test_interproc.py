@@ -4,7 +4,8 @@ mod/ref summaries, locksets, and their composition in ``analyze_module``."""
 from repro.ir.text import parse_module
 from repro.staticpass import analyze_module, build_call_graph
 from repro.staticpass.callgraph import classify_callee
-from repro.staticpass.interproc import clear_interproc_cache
+from repro.obs import PROCESS
+from repro.staticpass import interproc
 from repro.staticpass.modref import fact_survives
 
 
@@ -364,13 +365,13 @@ class TestLockIdentity:
 
 class TestCache:
     def test_memoized_by_digest(self):
-        clear_interproc_cache()
+        interproc._MEMO.clear()
+        before = PROCESS.subsystems()["staticpass"]
         module = parse_module(TestLockset.PROTECTED)
         first = analyze_module(module)
         second = analyze_module(module)
         assert second is first
-        from repro.staticpass.interproc import interproc_stats
-
-        stats = interproc_stats()
-        assert stats["interproc_cache_hits"] == 1
-        assert stats["interproc_cache_misses"] == 1
+        stats = PROCESS.subsystems()["staticpass"]
+        for key in ("interproc_cache_hits", "interproc_cache_misses"):
+            assert stats[key] - before[key] == 1
+        assert stats["interproc_cache_entries"] == 1

@@ -133,9 +133,9 @@ def test_store_read_corrupt_fault_hits_segment_reads(store):
 
 def test_segment_reads_counted_as_verified(store):
     path, meta = _recorded_v2(store)
-    before = store.integrity_stats()["verified_reads"]
+    before = store.integrity_stats()["verified_trace_reads"]
     store.read_segment(path, meta["segments"][0])
-    assert store.integrity_stats()["verified_reads"] == before + 1
+    assert store.integrity_stats()["verified_trace_reads"] == before + 1
 
 
 def test_fsck_passes_v2_store(store):

@@ -115,7 +115,7 @@ def test_verified_reads_counted(store):
     digest = _ingested(store)
     store.open_by_digest(digest)
     after = store.integrity_stats()
-    assert after["verified_reads"] > before["verified_reads"]
+    assert after["verified_trace_reads"] > before["verified_trace_reads"]
 
 
 # ----------------------------------------------------------------------

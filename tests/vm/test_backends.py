@@ -88,23 +88,24 @@ def test_recorded_trace_bytes_identical():
 
 
 def test_compile_cache_hit_on_identical_module_text():
-    from repro.vm.compile import (
-        clear_compile_cache,
-        compile_cache_stats,
-        compile_module,
-        ir_digest,
-    )
+    from repro.obs import PROCESS
+    from repro.vm import compile as compile_mod
 
-    clear_compile_cache()
+    compile_mod._MEMO.clear()
+    before = PROCESS.subsystems()["vm.compile"]
     first = ALL["radix"].make_module(1)
     second = ALL["radix"].make_module(1)  # distinct objects, same text
     assert first is not second
-    compile_module(first)
-    assert compile_cache_stats() == {"hits": 0, "misses": 1, "entries": 1}
-    cached = compile_module(second)
-    stats = compile_cache_stats()
-    assert stats["hits"] == 1 and stats["misses"] == 1
-    assert cached.digest == ir_digest(second)
+    compile_mod.compile_module(first)
+    stats = PROCESS.subsystems()["vm.compile"]
+    assert stats["hits"] - before["hits"] == 0
+    assert stats["misses"] - before["misses"] == 1
+    assert stats["entries"] == 1
+    cached = compile_mod.compile_module(second)
+    stats = PROCESS.subsystems()["vm.compile"]
+    assert stats["hits"] - before["hits"] == 1
+    assert stats["misses"] - before["misses"] == 1
+    assert cached.digest == compile_mod.ir_digest(second)
 
 
 @pytest.mark.parametrize("backend", ["jit", "bytecode"])
