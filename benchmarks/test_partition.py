@@ -1,27 +1,37 @@
-"""Partitioned-replay scaling benchmark: wall-clock vs shard count.
+"""Partitioned-replay benchmarks: scaling vs shard count, and the keep rule.
 
-The acceptance bar for :mod:`repro.partition`: fanning one trace's
-decode across a persistent worker pool must cut replay wall-clock on
-the largest bundled workloads, monotonically with shard count, while
-staying bit-identical to the monolithic path (asserted inline here on
-cycles/reports).  Results land in
-``benchmarks/artifacts/BENCH_partition.json``.
+``test_partition_scaling`` is the acceptance bar for
+:mod:`repro.partition`: fanning one trace's decode across a persistent
+worker pool must cut replay wall-clock on the largest bundled workloads,
+monotonically with shard count, while staying bit-identical to the
+monolithic path (asserted inline here on cycles/reports).  Results land
+in ``benchmarks/artifacts/BENCH_partition.json``.  The speedup
+assertions (monotone across 1/2/4 and >=1.5x at 4 shards) only run on
+machines with at least 4 CPUs: with every worker pinned to one core,
+shard counts change scheduling, not parallelism.
 
-The speedup assertions (monotone across 1/2/4 and >=1.5x at 4 shards)
-only run on machines with at least 4 CPUs: with every worker pinned to
-one core, shard counts change scheduling, not parallelism.
+``test_partition_keep_rule`` records the keep-or-delete rule: 2 shards
+must beat monolithic replay in at least 9 of 10 alternating pairs *and*
+by more than the interquartile range of the monolithic runs in the
+median (``statistics.quantiles``, exclusive method).  Monolithic is the
+batch path (a verified ``open_path`` and ``settle_trace``); 2 shards is
+``replay_partitioned`` on a 2-worker pool.  The verdict is recorded in
+``benchmarks/artifacts/BENCH_partition_rule.json``, not asserted: on a
+shared host it can flip between runs.
 """
 
 import dataclasses
 import json
 import os
+import platform
+import statistics
 import time
 
 from benchmarks.conftest import save_artifact
 from repro.exec.pool import build_analysis
 from repro.exec.workers import PersistentWorkerPool
 from repro.partition import replay_partitioned
-from repro.trace.replayer import TraceReplayer
+from repro.trace.replayer import TraceReplayer, settle_trace
 from repro.trace.store import TraceStore
 from repro.workloads import ALL
 
@@ -29,6 +39,10 @@ WORKLOADS = ["sort", "sjeng", "mcf"]
 SPEC = "eraser.full"
 SHARD_COUNTS = [1, 2, 4]
 REPEATS = 3
+
+RULE_CASES = [("eraser.full", "sort"), ("eraser.full", "sjeng"),
+              ("eraser.full", "mcf"), ("fig5.combined", "sort")]
+PAIRS = 10
 
 
 def _best_of(fn, repeats=REPEATS):
@@ -97,3 +111,58 @@ def test_partition_scaling(tmp_path):
         "BENCH_partition.json", json.dumps(results, indent=2, sort_keys=True)
     )
     print(json.dumps(results["workloads"], indent=2, sort_keys=True))
+
+
+def test_partition_keep_rule(tmp_path):
+    store = TraceStore(tmp_path / "bench-traces")
+    results = {"cpu_count": os.cpu_count(), "python": platform.python_version(),
+               "pairs": PAIRS, "pool_workers": 2, "cases": {}}
+
+    with PersistentWorkerPool(2) as pool:
+        for spec, name in RULE_CASES:
+            store.get_or_record(ALL[name], 1)
+            path = store.trace_path(ALL[name], 1)
+
+            def monolithic():
+                ((profile, reporter, _),) = settle_trace(
+                    store.open_path(path), [[build_analysis(spec)]])
+                return dataclasses.asdict(profile), list(reporter)
+
+            def shards_2():
+                profile, reporter, _ = replay_partitioned(
+                    store, path, [spec], 2, pool=pool)
+                return dataclasses.asdict(profile), list(reporter)
+
+            expected = monolithic()  # warm-up; also the reference result
+            assert shards_2() == expected, \
+                f"{spec}/{name}: partitioned result diverged"
+
+            mono, part = [], []
+            for index in range(PAIRS):
+                order = [(monolithic, mono), (shards_2, part)]
+                for run, times in order if index % 2 == 0 else order[::-1]:
+                    started = time.perf_counter()
+                    outcome = run()
+                    times.append(time.perf_counter() - started)
+                    assert outcome == expected
+
+            q1, _, q3 = statistics.quantiles(mono, n=4)
+            wins = sum(b < a for a, b in zip(mono, part))
+            gap = statistics.median(mono) - statistics.median(part)
+            results["cases"][f"{spec}@{name}"] = {
+                "monolithic_seconds": mono,
+                "shards_2_seconds": part,
+                "monolithic_median": statistics.median(mono),
+                "shards_2_median": statistics.median(part),
+                "monolithic_iqr": q3 - q1,
+                "wins": wins,
+                "median_gap": gap,
+                "passes": wins >= 9 and gap > q3 - q1,
+            }
+
+    results["rule_passes"] = any(case["passes"]
+                                 for case in results["cases"].values())
+    save_artifact(
+        "BENCH_partition_rule.json", json.dumps(results, indent=2, sort_keys=True)
+    )
+    print(json.dumps(results, indent=2, sort_keys=True))

@@ -9,7 +9,6 @@ import pytest
 
 from repro import faultline
 from repro.faultline import FaultPlan, FaultSpec
-from repro.serve import protocol
 from repro.serve.client import (
     CircuitOpenError,
     RetriesExhausted,
