@@ -8,6 +8,10 @@ simulated analysis cycles, and wall-clock time into
 is deterministic (the mask is static), so it is asserted strictly;
 wall-clock only has to not regress, because on small subject programs
 CI machine noise can swamp the saved dispatch work.
+
+A race detector on a single-threaded subject elides every site (a lone
+thread cannot race with itself; docs/STATICPASS.md), so its elided run
+makes no handler call at all.  Every other pair keeps some.
 """
 
 import json
@@ -18,6 +22,7 @@ import pytest
 
 from benchmarks.conftest import save_artifact
 from repro.exec.pool import build_analysis
+from repro.staticpass.elide import analyze_elision, policy_for
 from repro.vm import Interpreter
 from repro.workloads import ALL
 
@@ -44,6 +49,14 @@ def _run(workload, spec, elide):
     return vm.run()
 
 
+def _fully_elided(workload, spec):
+    """Whether the pass elides every site: a race-detection policy (the
+    lock-protected tier) on a subject module that never spawns."""
+    policy = policy_for(build_analysis(spec))
+    report = analyze_elision(workload.make_module(1), policy)
+    return policy.skip_lock_protected and not report.multithreaded
+
+
 def _best_of(fn, repeats=5):
     best = float("inf")
     for _ in range(repeats):
@@ -58,7 +71,10 @@ def test_elision_pair_throughput(benchmark, bench, workload, spec):
     """pytest-benchmark view of the elided configuration."""
     subject = ALL[workload]
     profile = benchmark(lambda: _run(subject, spec, elide=True))
-    assert profile.handler_calls > 0
+    if _fully_elided(subject, spec):
+        assert profile.handler_calls == 0
+    else:
+        assert profile.handler_calls > 0
 
 
 def test_staticpass_bench_artifact():

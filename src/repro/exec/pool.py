@@ -16,6 +16,10 @@ process or on a worker pool (one trace per task):
    once, fired through each spec's own replay state, and dropped, so a
    task holds one trace's payload and one segment of decoded records.
 
+Partitioned replay (:mod:`repro.partition`) is not a batch path: a
+batch parallelizes across traces, and only the serve daemon shards one
+trace's decode.
+
 Replay is bit-identical to the inline run (see
 :mod:`repro.trace.replayer`), so batch results are interchangeable with
 ``measure_overhead``'s.  The fingerprint hashes the analysis
@@ -242,7 +246,7 @@ def _resolve(store: TraceStore, meta: dict, jobs: Sequence[JobSpec],
     ]
 
 
-def _run_trace(packed, pool=None) -> List[JobResult]:
+def _run_trace(packed) -> List[JobResult]:
     """Every job of one (workload, scale): meta first, payload on a miss.
 
     The digest and summary come from the trace's tail meta, so a batch
@@ -250,11 +254,8 @@ def _run_trace(packed, pool=None) -> List[JobResult]:
     trace is opened (or recorded) by ``get_or_record``, which verifies
     it and self-heals, and every missing spec settles together in one
     segment-by-segment pass (:func:`repro.trace.replayer.settle_trace`).
-    With ``partition > 1`` each missing spec instead replays through
-    shards decoded across ``pool`` (or in process without one).  With
-    no jobs the task only records the trace if it is absent.
     """
-    root, name, scale, jobs, backend, partition = packed
+    root, name, scale, jobs, backend = packed
     from repro.workloads import ALL
 
     store = TraceStore(root)
@@ -262,10 +263,6 @@ def _run_trace(packed, pool=None) -> List[JobResult]:
     path = store.trace_path(ALL[name], scale, digest)
     open_trace = functools.partial(store.get_or_record, ALL[name], scale,
                                    backend=backend, digest=digest)
-    if not jobs:
-        if not path.exists():
-            open_trace()
-        return []
     try:
         meta, reader = store.read_tail_meta(path), None
     except (OSError, StoreCorruptionError):  # absent, or quarantined
@@ -273,17 +270,8 @@ def _run_trace(packed, pool=None) -> List[JobResult]:
         meta = reader.meta
 
     def settle(specs: List[str]) -> list:
-        # The verified, self-healing open, even when shards then
-        # range-read the segments again.
-        trace = reader or open_trace()
-        if partition > 1:
-            from repro.partition import replay_partitioned
-
-            replays = [replay_partitioned(store, path, [spec], partition, pool=pool)
-                       for spec in specs]
-            return [(profile, reporter, stats["wall_seconds"])
-                    for profile, reporter, stats in replays]
-        return settle_trace(trace, [[build_analysis(spec)] for spec in specs])
+        return settle_trace(reader or open_trace(),
+                            [[build_analysis(spec)] for spec in specs])
 
     return _resolve(store, meta, jobs, settle)
 
@@ -295,7 +283,6 @@ def run_batch(
     jobs: Sequence[JobSpec],
     processes: int = 1,
     store: Union[TraceStore, str, None] = None,
-    partition: int = 1,
     backend: str = "compiled",
 ) -> List[JobResult]:
     """Execute a batch of jobs; results come back in job order.
@@ -306,19 +293,10 @@ def run_batch(
     path, or None (a temporary store discarded afterwards).  ``backend``
     selects the VM backend that *records* missing traces; recordings are
     byte-identical across backends (``tests/vm/test_backends.py``).
-
-    With ``partition > 1`` the parallelism axis flips: groups execute
-    *sequentially* but each missing job's trace decode is cut into up
-    to ``partition`` shards fanned across the pool
-    (:func:`repro.partition.runner.replay_partitioned`), which helps
-    when a batch is dominated by a few huge traces rather than by job
-    count.  Results are bit-identical either way and share one cache.
     """
     jobs = list(jobs)
     if not jobs:
         return []
-    if partition < 1:
-        raise ValueError(f"partition must be >= 1, got {partition}")
     from repro.workloads import ALL
 
     groups: Dict[tuple, List[int]] = {}  # (workload, scale) -> job indices
@@ -336,8 +314,7 @@ def run_batch(
         store = TraceStore(tempdir.name)
     elif not isinstance(store, TraceStore):
         store = TraceStore(store)
-    tasks = [(str(store.root), name, scale, tuple(jobs[i] for i in indices),
-              backend, partition)
+    tasks = [(str(store.root), name, scale, tuple(jobs[i] for i in indices), backend)
              for (name, scale), indices in groups.items()]
 
     try:
@@ -345,14 +322,7 @@ def run_batch(
             from repro.exec.workers import PersistentWorkerPool
 
             with PersistentWorkerPool(processes) as pool:
-                if partition > 1:
-                    # Record missing traces in parallel first: a task
-                    # with no jobs only records its trace if absent.
-                    pool.map(TRACE_TASK, [(str(store.root), name, scale, (), backend, 1)
-                                          for name, scale in groups])
-                    settled = [_run_trace(task, pool) for task in tasks]
-                else:
-                    settled = pool.map(TRACE_TASK, tasks)
+                settled = pool.map(TRACE_TASK, tasks)
         else:
             settled = [_run_trace(task) for task in tasks]
         results: List[JobResult] = [None] * len(jobs)

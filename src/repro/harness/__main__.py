@@ -24,7 +24,7 @@ FIGURES = {"fig3": figure3, "fig4": figure4, "fig5": figure5}
 
 def run_experiment(name: str, scale: int, verbose: bool, fmt: str = "text",
                    jobs: int = 1, trace_cache=None, server=None,
-                   cluster=None, bench=None, partition: int = 1,
+                   cluster=None, bench=None,
                    backend: str = "compiled") -> str:
     """Regenerate one experiment; optionally collect a BENCH record.
 
@@ -37,8 +37,7 @@ def run_experiment(name: str, scale: int, verbose: bool, fmt: str = "text",
     started = time.perf_counter()
     if name in FIGURES:
         data = FIGURES[name](scale, verbose, jobs=jobs, trace_cache=trace_cache,
-                             server=server, cluster=cluster,
-                             partition=partition, backend=backend)
+                             server=server, cluster=cluster, backend=backend)
         if bench is not None:
             bench.update(
                 experiment=name,
@@ -48,7 +47,6 @@ def run_experiment(name: str, scale: int, verbose: bool, fmt: str = "text",
                 trace_cache=str(trace_cache) if trace_cache else None,
                 server=server,
                 cluster=str(cluster) if cluster is not None else None,
-                partition=partition,
                 wall_seconds=time.perf_counter() - started,
                 summary=data.summary,
                 results=data.bench,
@@ -127,11 +125,6 @@ def main(argv=None) -> int:
                              "ring, given its membership file (see "
                              "docs/CLUSTER.md); results are bit-identical "
                              "to inline")
-    parser.add_argument("--partition", type=_positive_int, default=1, metavar="N",
-                        help="shard each figure trace's decode into up to N "
-                             "pieces fanned across the --jobs pool "
-                             "(docs/PARTITION.md); bit-identical results, "
-                             "incompatible with --server/--cluster")
     parser.add_argument("--json", metavar="OUT", default=None, dest="json_out",
                         help="also write machine-readable BENCH_<experiment>.json "
                              "records (cycles, overheads, wall-clock) into "
@@ -145,8 +138,7 @@ def main(argv=None) -> int:
         print(run_experiment(name, args.scale, args.verbose, args.format,
                              jobs=args.jobs, trace_cache=args.trace_cache,
                              server=args.server, cluster=args.cluster,
-                             bench=bench, partition=args.partition,
-                             backend=args.backend))
+                             bench=bench, backend=args.backend))
         if bench:
             out_dir = Path(args.json_out)
             out_dir.mkdir(parents=True, exist_ok=True)

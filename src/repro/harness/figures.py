@@ -49,18 +49,8 @@ class FigureData:
         return "\n".join(lines)
 
 
-def _use_batch(jobs: int, trace_cache, server=None, partition: int = 1) -> bool:
-    return (jobs > 1 or trace_cache is not None or server is not None
-            or partition > 1)
-
-
-def _check_partition(partition: int, server, cluster) -> None:
-    """``partition=`` drives the local worker pool; remote execution
-    modes ship jobs elsewhere, so combining them is a config error."""
-    if partition > 1 and (server is not None or cluster is not None):
-        raise ValueError(
-            "partition= requires local execution; drop server=/cluster="
-        )
+def _use_batch(jobs: int, trace_cache, server=None) -> bool:
+    return jobs > 1 or trace_cache is not None or server is not None
 
 
 def _cluster_client(cluster, server):
@@ -82,7 +72,7 @@ def _cluster_client(cluster, server):
     return ClusterClient(cluster), True
 
 
-def _run_batch(specs, jobs: int, trace_cache, server=None, partition: int = 1,
+def _run_batch(specs, jobs: int, trace_cache, server=None,
                backend: str = "compiled"):
     """specs: (workload, analysis spec, label) tuples plus a shared scale.
 
@@ -93,11 +83,6 @@ def _run_batch(specs, jobs: int, trace_cache, server=None, partition: int = 1,
     resilient client (default :class:`repro.serve.ResilienceConfig`):
     transient BUSY/reset/crash responses are retried with backoff
     instead of aborting the whole figure run.
-
-    With ``partition > 1`` each job's trace decode is sharded across the
-    local pool instead of fanning out whole jobs
-    (:mod:`repro.partition`); bit-identical results, different
-    parallelism axis.
     """
     from repro.exec import JobSpec, run_batch
 
@@ -109,8 +94,7 @@ def _run_batch(specs, jobs: int, trace_cache, server=None, partition: int = 1,
         from repro.serve.client import run_jobs
 
         return run_jobs(server, job_specs, store=trace_cache)
-    return run_batch(job_specs, processes=jobs, store=trace_cache,
-                     partition=partition, backend=backend)
+    return run_batch(job_specs, processes=jobs, store=trace_cache, backend=backend)
 
 
 def _bench_record(result) -> dict:
@@ -128,7 +112,7 @@ def _bench_record(result) -> dict:
 
 def figure3(scale: int = 1, verbose: bool = False, jobs: int = 1,
             trace_cache=None, server=None, cluster=None,
-            backend: str = "compiled", partition: int = 1) -> FigureData:
+            backend: str = "compiled") -> FigureData:
     """LLVM MSan vs ALDA MSan across the 20 bug-free workloads.
 
     ``backend`` selects the VM dispatch strategy for the inline path
@@ -136,12 +120,8 @@ def figure3(scale: int = 1, verbose: bool = False, jobs: int = 1,
     traces in batch mode; replay itself decodes recorded traces and is
     backend-independent.  ``cluster`` routes the
     batch through a shard ring (membership path or client) instead of a
-    single server; results stay bit-identical.  ``partition`` shards
-    each trace's decode across the local pool (see
-    :mod:`repro.partition`) instead of fanning out whole jobs —
-    incompatible with ``server=``/``cluster=``.
+    single server; results stay bit-identical.
     """
-    _check_partition(partition, server, cluster)
     if cluster is not None:
         client, owns = _cluster_client(cluster, server)
         try:
@@ -153,14 +133,14 @@ def figure3(scale: int = 1, verbose: bool = False, jobs: int = 1,
     data = FigureData("Figure 3: LLVM MSan vs ALDA MSan (normalized overhead)",
                       series=["LLVM", "ALDAcc"])
     memory_ratios = []
-    if _use_batch(jobs, trace_cache, server, partition):
+    if _use_batch(jobs, trace_cache, server):
         names = list(fig3_workloads())
         tuples = []
         for name in names:
             tuples.append((name, "msan.handtuned", "LLVM"))
             tuples.append((name, "msan.alda", "ALDAcc"))
         results = _run_batch((tuples, scale), jobs, trace_cache, server,
-                             partition, backend=backend)
+                             backend=backend)
         by = {(r.workload, r.label): r for r in results}
         for name in names:
             llvm, alda = by[(name, "LLVM")], by[(name, "ALDAcc")]
@@ -198,9 +178,8 @@ def figure3(scale: int = 1, verbose: bool = False, jobs: int = 1,
 
 def figure4(scale: int = 1, verbose: bool = False, jobs: int = 1,
             trace_cache=None, server=None, cluster=None,
-            backend: str = "compiled", partition: int = 1) -> FigureData:
+            backend: str = "compiled") -> FigureData:
     """Hand-tuned Eraser vs ALDAcc-full vs ALDAcc-ds-only on Splash2."""
-    _check_partition(partition, server, cluster)
     if cluster is not None:
         client, owns = _cluster_client(cluster, server)
         try:
@@ -214,7 +193,7 @@ def figure4(scale: int = 1, verbose: bool = False, jobs: int = 1,
         series=["Hand-Tuned", "ALDAcc-full", "ALDAcc-ds-only"],
     )
     memory_ratios = []
-    if _use_batch(jobs, trace_cache, server, partition):
+    if _use_batch(jobs, trace_cache, server):
         names = list(fig4_workloads())
         tuples = []
         for name in names:
@@ -222,7 +201,7 @@ def figure4(scale: int = 1, verbose: bool = False, jobs: int = 1,
             tuples.append((name, "eraser.full", "ALDAcc-full"))
             tuples.append((name, "eraser.ds_only", "ALDAcc-ds-only"))
         results = _run_batch((tuples, scale), jobs, trace_cache, server,
-                             partition, backend=backend)
+                             backend=backend)
         by = {(r.workload, r.label): r for r in results}
         for name in names:
             hand = by[(name, "Hand-Tuned")]
@@ -289,9 +268,8 @@ _FIG5_SPECS = {
 
 def figure5(scale: int = 1, verbose: bool = False, jobs: int = 1,
             trace_cache=None, server=None, cluster=None,
-            backend: str = "compiled", partition: int = 1) -> FigureData:
+            backend: str = "compiled") -> FigureData:
     """Four analyses run individually vs combined into one (Figure 5)."""
-    _check_partition(partition, server, cluster)
     if cluster is not None:
         client, owns = _cluster_client(cluster, server)
         try:
@@ -303,7 +281,7 @@ def figure5(scale: int = 1, verbose: bool = False, jobs: int = 1,
     series = list(_FIG5_ANALYSES) + ["sum_individual", "combined"]
     data = FigureData("Figure 5: combined analysis (normalized overhead)", series)
     speedups = []
-    if _use_batch(jobs, trace_cache, server, partition):
+    if _use_batch(jobs, trace_cache, server):
         names = list(fig5_workloads())
         tuples = []
         for name in names:
@@ -311,7 +289,7 @@ def figure5(scale: int = 1, verbose: bool = False, jobs: int = 1,
                 tuples.append((name, _FIG5_SPECS[analysis_name], analysis_name))
             tuples.append((name, "fig5.combined", "combined"))
         results = _run_batch((tuples, scale), jobs, trace_cache, server,
-                             partition, backend=backend)
+                             backend=backend)
         by = {(r.workload, r.label): r for r in results}
         for name in names:
             total = 0.0

@@ -36,6 +36,12 @@ invariant cheap to guarantee: **partitioned output is bit-identical to
 monolithic replay** for every workload × analysis spec (enforced by
 ``tests/partition/test_differential.py``).
 
+The serve daemon is the one production caller: it partitions a cold
+request when the server is idle (``--partition-shards``).  Batch runs
+(:func:`repro.exec.pool.run_batch`, ``python -m repro.harness``) settle
+every trace monolithically; the in-process mode (``pool=None``) is the
+reference the differential tests and the fuzz oracle check against.
+
 Process-wide counters live in :data:`repro.obs.PROCESS` as
 ``partition.*`` and surface in ``serve stats`` under the ``partition``
 subsystem namespace.

@@ -1,7 +1,8 @@
 """Fan shards across the worker pool; settle results as they stream in.
 
-:func:`replay_partitioned` is the one entry point the executor, the
-harness, and the serve scheduler all use.  Decode work (range read +
+:func:`replay_partitioned` is the entry point the serve scheduler uses
+for cold requests to an idle daemon; batch runs (:mod:`repro.exec.pool`,
+the harness) settle each trace monolithically.  Decode work (range read +
 digest verify + varint decode + spec filtering — 54–90% of monolithic
 replay wall-clock on the bundled analyses) runs in parallel:
 

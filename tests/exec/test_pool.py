@@ -179,13 +179,3 @@ def test_partly_cached_group_settles_only_misses(tmp_path, settle_calls):
     assert cached.cached and not fresh.cached
     inline = measure_overhead(ALL["bzip2"], build_analysis("eraser.full"))
     assert fresh.instrumented_cycles == inline.instrumented_cycles
-
-
-def test_jobless_trace_task_only_records_an_absent_trace(tmp_path):
-    store = TraceStore(tmp_path)
-    task = (str(tmp_path), "bzip2", 1, (), "compiled", 1)
-    assert pool_mod._run_trace(task) == []
-    assert store.has_trace(ALL["bzip2"], 1)
-    before = store.integrity_stats()
-    assert pool_mod._run_trace(task) == []  # present: not even opened
-    assert store.integrity_stats() == before

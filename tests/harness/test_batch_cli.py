@@ -14,11 +14,9 @@ def stub_figure(monkeypatch):
     calls = {}
 
     def fake_figure4(scale=1, verbose=False, jobs=1, trace_cache=None,
-                     server=None, cluster=None, partition=1,
-                     backend="compiled"):
+                     server=None, cluster=None, backend="compiled"):
         calls.update(scale=scale, jobs=jobs, trace_cache=trace_cache,
-                     server=server, cluster=cluster, partition=partition,
-                     backend=backend)
+                     server=server, cluster=cluster, backend=backend)
         data = FigureData("stub", series=["A"])
         data.add("w1", "A", 2.0)
         data.summary["avg"] = 2.0
@@ -59,9 +57,13 @@ def test_server_flag_forwarded(stub_figure, capsys):
     assert stub_figure["server"] == "127.0.0.1:7091"
 
 
-def test_partition_flag_forwarded(stub_figure):
-    assert cli.main(["fig4", "--jobs", "2", "--partition", "4"]) == 0
-    assert stub_figure["partition"] == 4
+def test_partition_flag_is_unrecognized(stub_figure, capsys):
+    """Batch runs settle each trace whole; sharded decode is serve-only."""
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["fig4", "--partition", "2"])
+    assert excinfo.value.code == 2
+    assert not stub_figure, "the figure must not run"
+    assert "unrecognized arguments: --partition 2" in capsys.readouterr().err
 
 
 def test_backend_flag_forwarded(stub_figure):
@@ -73,7 +75,7 @@ def test_backend_flag_forwarded(stub_figure):
     ["--scale", "0"],
     ["--scale", "-1"],
     ["--jobs", "0"],
-    ["--partition", "0"],
+    ["--format", "xml"],
     ["--backend", "bytecode"],
 ])
 def test_bad_arguments_are_usage_errors(stub_figure, capsys, argv):
@@ -88,7 +90,6 @@ def test_defaults_stay_inline(stub_figure):
     cli.main(["fig4"])
     assert stub_figure["jobs"] == 1
     assert stub_figure["trace_cache"] is None
-    assert stub_figure["partition"] == 1
     assert stub_figure["server"] is None
     assert stub_figure["backend"] == "compiled"
 

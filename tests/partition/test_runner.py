@@ -1,10 +1,8 @@
-"""Runner integration: pool fan-out, stats, counters, executor wiring."""
+"""Runner integration: pool fan-out, stats, counters."""
 
 import dataclasses
 
-import pytest
-
-from repro.exec.pool import JobSpec, build_analysis, run_batch
+from repro.exec.pool import build_analysis
 from repro.exec.workers import PersistentWorkerPool
 from repro.trace.replayer import TraceReplayer
 
@@ -79,24 +77,3 @@ def test_store_accepts_path_string(recorded, part_store):
         str(part_store.root), path, ["uaf.alda"], 2
     )
     assert profile.cycles > 0
-
-
-@pytest.mark.parametrize("processes", [1, 2])
-def test_run_batch_partition_matches_plain(tmp_path, processes):
-    jobs = [JobSpec("fft", "uaf.alda"), JobSpec("fft", "eraser.full")]
-    plain = run_batch(jobs, processes=1, store=tmp_path / "a")
-    part = run_batch(jobs, processes=processes, store=tmp_path / "b",
-                     partition=2)
-    for p, q in zip(plain, part):
-        assert (p.instrumented_cycles, p.metadata_bytes, p.n_reports) == \
-               (q.instrumented_cycles, q.metadata_bytes, q.n_reports)
-    assert not any(r.cached for r in part)
-    # Second partitioned batch hits the shared result cache.
-    again = run_batch(jobs, processes=processes, store=tmp_path / "b",
-                      partition=2)
-    assert all(r.cached for r in again)
-
-
-def test_run_batch_rejects_bad_partition(tmp_path):
-    with pytest.raises(ValueError, match="partition"):
-        run_batch([JobSpec("fft", "uaf.alda")], store=tmp_path, partition=0)
