@@ -30,7 +30,7 @@ def test_loadgen_amortization(tmp_path):
     )
     try:
         report = LoadGen(
-            [handle.address],
+            handle.address,
             SPECS,
             reader.digest,
             trace_bytes,

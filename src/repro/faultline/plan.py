@@ -31,9 +31,6 @@ FAULT_POINTS = (
     "worker.crash.midjob", # worker process dies mid-replay (os._exit)
     "store.read.corrupt",  # a trace read returns bit-flipped bytes
     "store.write.partial", # a store write publishes a truncated file
-    "cluster.shard.down",  # supervisor kills one shard (health loop / chaos)
-    "cluster.net.partition",  # client loses reachability to one shard
-    "cluster.replica.slow",   # client sees one replica answer slowly
     "partition.shard.fail",   # one partitioned-replay shard decode dies
     "partition.merge.corrupt",  # a shard artifact is perturbed pre-merge
 )

@@ -24,8 +24,7 @@ FIGURES = {"fig3": figure3, "fig4": figure4, "fig5": figure5}
 
 def run_experiment(name: str, scale: int, verbose: bool, fmt: str = "text",
                    jobs: int = 1, trace_cache=None, server=None,
-                   cluster=None, bench=None,
-                   backend: str = "compiled") -> str:
+                   bench=None, backend: str = "compiled") -> str:
     """Regenerate one experiment; optionally collect a BENCH record.
 
     ``bench``, when a dict, is filled with the machine-readable record
@@ -37,7 +36,7 @@ def run_experiment(name: str, scale: int, verbose: bool, fmt: str = "text",
     started = time.perf_counter()
     if name in FIGURES:
         data = FIGURES[name](scale, verbose, jobs=jobs, trace_cache=trace_cache,
-                             server=server, cluster=cluster, backend=backend)
+                             server=server, backend=backend)
         if bench is not None:
             bench.update(
                 experiment=name,
@@ -46,7 +45,6 @@ def run_experiment(name: str, scale: int, verbose: bool, fmt: str = "text",
                 jobs=jobs,
                 trace_cache=str(trace_cache) if trace_cache else None,
                 server=server,
-                cluster=str(cluster) if cluster is not None else None,
                 wall_seconds=time.perf_counter() - started,
                 summary=data.summary,
                 results=data.bench,
@@ -120,11 +118,6 @@ def main(argv=None) -> int:
     parser.add_argument("--server", metavar="HOST:PORT", default=None,
                         help="execute figure replays on a repro.serve daemon "
                              "instead of a local pool (see docs/SERVING.md)")
-    parser.add_argument("--cluster", metavar="MEMBERSHIP", default=None,
-                        help="execute figure replays on a repro.cluster shard "
-                             "ring, given its membership file (see "
-                             "docs/CLUSTER.md); results are bit-identical "
-                             "to inline")
     parser.add_argument("--json", metavar="OUT", default=None, dest="json_out",
                         help="also write machine-readable BENCH_<experiment>.json "
                              "records (cycles, overheads, wall-clock) into "
@@ -137,8 +130,8 @@ def main(argv=None) -> int:
         bench = {} if args.json_out else None
         print(run_experiment(name, args.scale, args.verbose, args.format,
                              jobs=args.jobs, trace_cache=args.trace_cache,
-                             server=args.server, cluster=args.cluster,
-                             bench=bench, backend=args.backend))
+                             server=args.server, bench=bench,
+                             backend=args.backend))
         if bench:
             out_dir = Path(args.json_out)
             out_dir.mkdir(parents=True, exist_ok=True)

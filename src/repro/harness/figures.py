@@ -53,25 +53,6 @@ def _use_batch(jobs: int, trace_cache, server=None) -> bool:
     return jobs > 1 or trace_cache is not None or server is not None
 
 
-def _cluster_client(cluster, server):
-    """Resolve ``cluster=`` into a client for the ``server=`` slot.
-
-    Accepts a membership file path, a :class:`repro.cluster.Membership`,
-    or a ready :class:`repro.cluster.ClusterClient` (anything already
-    exposing ``submit_digest_first`` is used as-is).  Returns
-    ``(client, owns)`` — the figure closes clients it constructed.
-    Replay on a shard ring is the same replay as inline, so figure
-    results are bit-identical either way.
-    """
-    if server is not None:
-        raise ValueError("pass either server= or cluster=, not both")
-    if hasattr(cluster, "submit_digest_first"):
-        return cluster, False
-    from repro.cluster.client import ClusterClient
-
-    return ClusterClient(cluster), True
-
-
 def _run_batch(specs, jobs: int, trace_cache, server=None,
                backend: str = "compiled"):
     """specs: (workload, analysis spec, label) tuples plus a shared scale.
@@ -111,25 +92,15 @@ def _bench_record(result) -> dict:
 
 
 def figure3(scale: int = 1, verbose: bool = False, jobs: int = 1,
-            trace_cache=None, server=None, cluster=None,
+            trace_cache=None, server=None,
             backend: str = "compiled") -> FigureData:
     """LLVM MSan vs ALDA MSan across the 20 bug-free workloads.
 
     ``backend`` selects the VM dispatch strategy for the inline path
     (see :class:`repro.vm.Interpreter`) and for recording any missing
     traces in batch mode; replay itself decodes recorded traces and is
-    backend-independent.  ``cluster`` routes the
-    batch through a shard ring (membership path or client) instead of a
-    single server; results stay bit-identical.
+    backend-independent.
     """
-    if cluster is not None:
-        client, owns = _cluster_client(cluster, server)
-        try:
-            return figure3(scale, verbose, jobs, trace_cache, server=client,
-                           backend=backend)
-        finally:
-            if owns:
-                client.close()
     data = FigureData("Figure 3: LLVM MSan vs ALDA MSan (normalized overhead)",
                       series=["LLVM", "ALDAcc"])
     memory_ratios = []
@@ -177,17 +148,9 @@ def figure3(scale: int = 1, verbose: bool = False, jobs: int = 1,
 
 
 def figure4(scale: int = 1, verbose: bool = False, jobs: int = 1,
-            trace_cache=None, server=None, cluster=None,
+            trace_cache=None, server=None,
             backend: str = "compiled") -> FigureData:
     """Hand-tuned Eraser vs ALDAcc-full vs ALDAcc-ds-only on Splash2."""
-    if cluster is not None:
-        client, owns = _cluster_client(cluster, server)
-        try:
-            return figure4(scale, verbose, jobs, trace_cache, server=client,
-                           backend=backend)
-        finally:
-            if owns:
-                client.close()
     data = FigureData(
         "Figure 4: Eraser on Splash2 (normalized overhead)",
         series=["Hand-Tuned", "ALDAcc-full", "ALDAcc-ds-only"],
@@ -267,17 +230,9 @@ _FIG5_SPECS = {
 
 
 def figure5(scale: int = 1, verbose: bool = False, jobs: int = 1,
-            trace_cache=None, server=None, cluster=None,
+            trace_cache=None, server=None,
             backend: str = "compiled") -> FigureData:
     """Four analyses run individually vs combined into one (Figure 5)."""
-    if cluster is not None:
-        client, owns = _cluster_client(cluster, server)
-        try:
-            return figure5(scale, verbose, jobs, trace_cache, server=client,
-                           backend=backend)
-        finally:
-            if owns:
-                client.close()
     series = list(_FIG5_ANALYSES) + ["sum_individual", "combined"]
     data = FigureData("Figure 5: combined analysis (normalized overhead)", series)
     speedups = []

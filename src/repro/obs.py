@@ -134,51 +134,7 @@ class Histogram:
                 "p50": self.percentile(50),
                 "p95": self.percentile(95),
                 "p99": self.percentile(99),
-                # Sparse bucket counts (index -> count over the default
-                # log-spaced bounds) so snapshots from several servers
-                # can be merged into cluster-wide percentiles — see
-                # merge_histogram_summaries.
-                "buckets": {
-                    str(index): count
-                    for index, count in enumerate(self.bucket_counts)
-                    if count
-                },
             }
-
-
-def merge_histogram_summaries(summaries: Sequence[dict]) -> dict:
-    """Merge per-server histogram summaries into one cluster-wide view.
-
-    Summaries must come from histograms over the *default* log-spaced
-    bounds (every serve histogram does).  Bucket counts add exactly;
-    percentiles are re-estimated from the merged cumulative
-    distribution with the same interpolation a single histogram uses,
-    so a cluster-wide p99 is as trustworthy as a single server's.
-    """
-    bounds = _default_bounds()
-    bucket_counts = [0] * (len(bounds) + 1)
-    count = 0
-    total = 0.0
-    minimum = float("inf")
-    maximum = 0.0
-    for summary in summaries:
-        if not summary or not summary.get("count"):
-            continue
-        count += summary["count"]
-        total += summary.get("mean", 0.0) * summary["count"]
-        minimum = min(minimum, summary.get("min", minimum))
-        maximum = max(maximum, summary.get("max", 0.0))
-        for index, bucket_count in (summary.get("buckets") or {}).items():
-            bucket_counts[int(index)] += bucket_count
-    if count == 0:
-        return {"count": 0}
-    merged = Histogram(threading.Lock(), bounds)
-    merged.bucket_counts = bucket_counts
-    merged.count = count
-    merged.total = total
-    merged.min = minimum
-    merged.max = maximum
-    return merged.summary()
 
 
 class MetricsRegistry:

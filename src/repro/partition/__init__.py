@@ -1,7 +1,7 @@
 """Partitioned trace replay: parallel decode, exact sequential settle.
 
 One recorded trace is analyzed end-to-end by one VM today; on the
-biggest workloads that binds serve/cluster throughput to single-core
+biggest workloads that binds serve throughput to single-core
 speed.  This package splits a replay into shards along the trace's
 segment index:
 

@@ -26,15 +26,14 @@ Modules:
   retry/backoff/watchdog/breaker knob in one dataclass;
 * :mod:`repro.serve.resilience` — the retry-policy and circuit-breaker
   machines themselves;
-* :mod:`repro.serve.chaos` — seeded fault-injection runs
-  (``python -m repro.serve chaos [--shards N]``), asserting
+* :mod:`repro.serve.chaos` — seeded fault-injection runs against a
+  private daemon (``python -m repro.serve chaos --seed N``), asserting
   bit-correct-or-typed;
 * :mod:`repro.serve.loadgen` — load generator
-  (``python -m repro.serve loadgen --server|--membership|--shards``).
+  (``python -m repro.serve loadgen --server HOST:PORT``).
 
-Both drive a roster through :class:`repro.cluster.ClusterClient`: a
-single daemon is the one-shard ring, so one storm loop and one
-digest-first heal rule serve both topologies.
+Both drive one daemon through :class:`ServeClient` threads, so one
+storm loop and one digest-first heal rule serve both.
 
 See ``docs/SERVING.md`` for the protocol and semantics reference, and
 ``docs/RESILIENCE.md`` for the failure model.

@@ -255,34 +255,6 @@ class ServeClient:
         self.uploads += 1
         return self._submit_once(spec, trace_bytes=trace_bytes, timeout=timeout)
 
-    # -- replication RPCs (used by repro.cluster) ----------------------
-    def put_trace(self, trace_bytes: bytes) -> None:
-        """Replicate raw trace bytes to this server without a replay.
-
-        One-shot (no retry layer): replication is best-effort by design;
-        the cluster client counts failures instead of insisting.
-        """
-        frame_type, body = self._rpc(
-            protocol.encode_frame(protocol.PUT_TRACE, trace_bytes)
-        )
-        if frame_type == protocol.PONG:
-            return
-        if frame_type == protocol.ERROR:
-            raise RequestFailed(protocol.decode_json_body(body))
-        raise ServeError(f"unexpected frame type {frame_type} in response")
-
-    def put_result(self, digest: str, spec: str, record: dict) -> None:
-        """Replicate a peer-computed replay record into this server's
-        result cache (one-shot, like :meth:`put_trace`)."""
-        frame_type, body = self._rpc(
-            protocol.encode_put_result(digest, spec, record)
-        )
-        if frame_type == protocol.PONG:
-            return
-        if frame_type == protocol.ERROR:
-            raise RequestFailed(protocol.decode_json_body(body))
-        raise ServeError(f"unexpected frame type {frame_type} in response")
-
     def stats(self) -> dict:
         frame_type, body = self._rpc(protocol.encode_frame(protocol.STATS_REQUEST))
         if frame_type != protocol.STATS:
@@ -319,10 +291,8 @@ def run_jobs(
     ``resilience`` (default :class:`ResilienceConfig`), so transient
     ``BUSY``/reset/crash responses are retried with backoff instead of
     aborting a whole figure run.  Pass ``resilience=None`` for the old
-    fail-fast behavior; a ready-made client — :class:`ServeClient` or
-    anything else with ``submit_digest_first`` (e.g. a
-    :class:`repro.cluster.ClusterClient`) — is used as-is, whatever its
-    policy.
+    fail-fast behavior; a ready-made :class:`ServeClient` is used as-is,
+    whatever its policy.
     """
     import tempfile
 
@@ -337,7 +307,7 @@ def run_jobs(
         client = ServeClient(server, resilience=resilience)
         owns_client = True
     else:
-        client = server  # ServeClient, ClusterClient, or compatible
+        client = server
         owns_client = False
     tempdir = None
     if store is None:

@@ -1,33 +1,28 @@
-"""Load generator: one request storm against a shard ring.
+"""Load generator: one request storm against one daemon.
 
 Replays a request mix at a target rate from concurrent
-:class:`~repro.cluster.ClusterClient` threads and reports throughput,
+:class:`~repro.serve.client.ServeClient` threads and reports throughput,
 latency percentiles (overall / cache-hit / cold replay), the typed
-error breakdown and the routing spread — the amortization story of a
-resident daemon in one JSON record.  A single daemon is the one-shard
-ring ``[HOST:PORT]``::
+error breakdown and the trace uploads the clients made — the
+amortization story of a resident daemon in one JSON record::
 
     python -m repro.serve loadgen --server 127.0.0.1:7091 \\
         --workload fft --spec eraser.full --requests 100 \\
         --concurrency 4 --out benchmarks/artifacts/serve_loadgen.json
-    python -m repro.serve loadgen --membership PATH ...   # running ring
-    python -m repro.serve loadgen --shards 3 ...          # ephemeral ring
 
 Clients retry transient failures (BUSY, resets, worker crashes) through
-the resilience layer by default (``ResilienceConfig()`` against one
-daemon, the quick-failover :data:`~repro.cluster.client.SHARD_RESILIENCE`
-on a ring), so ``busy`` counts *exhausted* retry budgets, not transient
-rejections; pass ``--no-retry`` for the raw fail-fast view, and
-``--seed`` to make retry jitter reproducible.
+the resilience layer (``ResilienceConfig()``) by default, so ``busy``
+counts *exhausted* retry budgets, not transient rejections; pass
+``--no-retry`` for the raw fail-fast view, and ``--seed`` to make retry
+jitter reproducible.
 
 The same claim → submit → classify loop is the chaos storm
 (:mod:`repro.serve.chaos`): given fault-free reference records it
 counts any result that differs on :data:`DETERMINISTIC_FIELDS` as
-WRONG, and given the ring's supervisor it kills the digest's primary
-shard when ``cluster.shard.down`` fires.
+WRONG.
 
 Latencies here are measured client-side over the socket, exact (sorted
-samples, no histogram estimation), so they compose with the servers'
+samples, no histogram estimation), so they compose with the server's
 own STATS histograms as an end-to-end check.
 """
 
@@ -41,14 +36,11 @@ import time
 from dataclasses import replace
 from typing import Dict, List, Optional
 
-from repro import faultline
-from repro.cluster.client import SHARD_RESILIENCE, ClusterClient
-from repro.cluster.stats import merge_snapshots
-from repro.cluster.supervisor import ClusterConfig, ClusterSupervisor
 from repro.serve.client import (
     CircuitOpenError,
     RequestFailed,
     RetriesExhausted,
+    ServeClient,
     ServeError,
     ServerBusy,
 )
@@ -88,25 +80,18 @@ def _summary(samples: List[float]) -> dict:
 class LoadGen:
     """Fires ``requests`` total requests from ``concurrency`` clients.
 
-    ``roster`` is what :class:`ClusterClient` routes over — a membership
-    path, a :class:`~repro.cluster.Membership`, or a list of ``HOST:PORT``
-    addresses — or the :class:`ClusterSupervisor` that owns the ring,
-    which also lets the storm kill a shard.  ``reference`` maps a spec to
-    its fault-free result record; results for those specs are checked
+    ``server`` is the daemon's ``HOST:PORT``.  ``reference`` maps a spec
+    to its fault-free result record; results for those specs are checked
     on :data:`DETERMINISTIC_FIELDS`.
     """
 
-    def __init__(self, roster, specs: List[str], digest: str,
+    def __init__(self, server: str, specs: List[str], digest: str,
                  trace_bytes: bytes, requests: int, concurrency: int,
                  rate: Optional[float] = None, timeout: float = 300.0,
                  resilience: Optional[ResilienceConfig] = ResilienceConfig(),
                  seed: Optional[int] = None,
                  reference: Optional[Dict[str, dict]] = None) -> None:
-        self.supervisor = None
-        if isinstance(roster, ClusterSupervisor):
-            self.supervisor = roster
-            roster = roster.membership_path
-        self.roster = roster
+        self.server = server
         self.specs = specs
         self.digest = digest
         self.trace_bytes = trace_bytes
@@ -120,8 +105,6 @@ class LoadGen:
             spec: {name: record.get(name) for name in DETERMINISTIC_FIELDS}
             for spec, record in (reference or {}).items()
         }
-        #: the claim index whose request may take a shard down mid-storm
-        self.kill_at = max(1, requests // 3)
         self._lock = threading.Lock()
         self._next = 0
         self.latencies_ms: List[float] = []
@@ -132,12 +115,9 @@ class LoadGen:
         self.typed_errors: Dict[str, int] = {}
         self.error_samples: List[str] = []
         self.wrong_results: List[dict] = []
-        self.killed_shard: Optional[str] = None
-        self.ok_after_kill = 0
-        self.per_shard: Dict[str, int] = {}
-        self.cluster_counters: Dict[str, int] = {}
-        #: per-shard STATS snapshots taken once the storm is over
-        self.snapshots: Dict[str, dict] = {}
+        self.uploads = 0
+        #: the daemon's STATS snapshot taken once the storm is over
+        self.snapshot: Optional[dict] = None
         self.retry_stats = {
             "attempts": 0, "retries": 0, "busy_retried": 0,
             "transport_retried": 0, "code_retried": 0, "breaker_rejections": 0,
@@ -150,21 +130,6 @@ class LoadGen:
             index = self._next
             self._next += 1
             return index
-
-    def _kill_primary(self) -> None:
-        """Fire ``cluster.shard.down``: take the digest's primary down.
-
-        Tied to claim order, not wall clock, so the kill lands mid-storm
-        deterministically.  The kill is marked *before* the victim
-        drains: requests the survivors complete meanwhile are post-kill
-        goodput.
-        """
-        if not faultline.inject("cluster.shard.down"):
-            return
-        victim = self.supervisor.membership.ring().primary(self.digest)
-        with self._lock:
-            self.killed_shard = victim
-        self.supervisor.kill_shard(victim)
 
     def _error(self, code: str, text: str) -> None:
         with self._lock:
@@ -189,20 +154,16 @@ class LoadGen:
                 self.cached_ms.append(elapsed_ms)
             else:
                 self.uncached_ms.append(elapsed_ms)
-            if self.killed_shard is not None:
-                self.ok_after_kill += 1
 
     def _worker(self, worker_index: int, started_at: float) -> None:
         retry_seed = None if self.seed is None else self.seed + worker_index
-        client = ClusterClient(self.roster, resilience=self.resilience,
-                               timeout=self.timeout, retry_seed=retry_seed)
+        client = ServeClient(self.server, resilience=self.resilience,
+                             timeout=self.timeout, retry_seed=retry_seed)
         with client:
             while True:
                 index = self._claim()
                 if index is None:
                     break
-                if self.supervisor is not None and index == self.kill_at:
-                    self._kill_primary()
                 if self.rate:
                     target = started_at + index / self.rate
                     delay = target - time.perf_counter()
@@ -234,12 +195,7 @@ class LoadGen:
         with self._lock:
             for key, value in client.retry_stats.items():
                 self.retry_stats[key] += value
-            for shard, count in client.per_shard.items():
-                self.per_shard[shard] = self.per_shard.get(shard, 0) + count
-            for key, value in client.cluster_stats.items():
-                self.cluster_counters[key] = (
-                    self.cluster_counters.get(key, 0) + value
-                )
+            self.uploads += client.uploads
 
     def run(self) -> dict:
         started_at = time.perf_counter()
@@ -256,8 +212,7 @@ class LoadGen:
         completed = len(self.latencies_ms)
         report = {
             "config": {
-                "roster": (self.roster if isinstance(self.roster, list)
-                           else str(self.roster)),
+                "server": self.server,
                 "specs": self.specs,
                 "trace_digest": self.digest,
                 "requests": self.requests,
@@ -285,12 +240,7 @@ class LoadGen:
             "cold_replay_ms": _summary(self.uncached_ms),
             "cache_hit_ms": _summary(self.cached_ms),
             "server_latency_ms": self._server_histograms(),
-            "cluster": {
-                "per_shard": dict(sorted(self.per_shard.items())),
-                "counters": dict(sorted(self.cluster_counters.items())),
-                "killed_shard": self.killed_shard,
-                "ok_after_kill": self.ok_after_kill,
-            },
+            "uploads": self.uploads,
         }
         cold = report["cold_replay_ms"]["p50"]
         hit = report["cache_hit_ms"]["p50"]
@@ -299,25 +249,22 @@ class LoadGen:
         return report
 
     def _server_histograms(self) -> dict:
-        """Server-side latency tails from the shards' merged STATS.
+        """Server-side latency tails from the daemon's own STATS.
 
-        Complements the exact client-side samples above: each shard's
-        log-bucket histograms cover *its* view of every request, and
-        :func:`repro.cluster.stats.merge_snapshots` sums them, so one
-        daemon and a whole ring report tails like-for-like.  The raw
-        per-shard snapshots stay on :attr:`snapshots`.  Best-effort: an
-        unreachable roster yields ``{"error": ...}``, never a failed run.
+        Complements the exact client-side samples above with the
+        daemon's log-bucket histograms.  The raw snapshot stays on
+        :attr:`snapshot`.  Best-effort: an unreachable daemon yields
+        ``{"error": ...}``, never a failed run.
         """
         try:
-            with ClusterClient(self.roster, timeout=self.timeout) as probe:
-                self.snapshots = probe.stats()
+            with ServeClient(self.server, timeout=self.timeout) as probe:
+                self.snapshot = probe.stats()
         except (ServeError, OSError, ValueError) as exc:
             return {"error": f"{type(exc).__name__}: {exc}"}
         tails = {}
-        merged = merge_snapshots(self.snapshots)
         for name in ("request_latency_ms", "latency_cached_ms",
                      "latency_replay_ms"):
-            summary = merged["histograms"].get(name)
+            summary = self.snapshot["histograms"].get(name)
             if not summary or not summary.get("count"):
                 continue
             tails[name] = {
@@ -368,44 +315,17 @@ def render_report(report: dict) -> str:
             f"amortization: cache hit {report['amortization_speedup']:.1f}x "
             "faster than cold replay"
         )
-    cluster = report["cluster"]
-    spread = cluster["per_shard"]
-    if spread:
-        total = sum(spread.values())
-        lines.append("routing: " + "  ".join(
-            f"{name}={count} ({100.0 * count / total:.0f}%)"
-            for name, count in spread.items()
-        ))
-    counters = cluster["counters"]
-    if counters.get("failovers") or counters.get("healed_uploads"):
-        lines.append(
-            f"cluster: failovers {counters.get('failovers', 0)}, "
-            f"healed uploads {counters.get('healed_uploads', 0)}, "
-            f"traces replicated {counters.get('traces_replicated', 0)}, "
-            f"results replicated {counters.get('results_replicated', 0)}, "
-            f"replication failures {counters.get('replication_failures', 0)}"
-        )
+    lines.append(f"trace uploads: {report['uploads']}")
     return "\n".join(lines)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve loadgen",
-        description="Replay a request mix against a daemon or a shard ring.",
+        description="Replay a request mix against a running daemon.",
     )
-    target = parser.add_mutually_exclusive_group(required=True)
-    target.add_argument("--server", default=None, metavar="HOST:PORT",
-                        help="one running daemon (a one-shard ring)")
-    target.add_argument("--membership", default=None, metavar="PATH",
-                        help="membership file of a running ring")
-    target.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="spin up an ephemeral in-process N-shard ring "
-                             "for the run")
-    parser.add_argument("--replication", type=int, default=2,
-                        help="replicas per digest on the --shards ring "
-                             "(default 2)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="replay workers per --shards shard (default 1)")
+    parser.add_argument("--server", required=True, metavar="HOST:PORT",
+                        help="the running daemon")
     parser.add_argument("--workload", default="fft",
                         help="workload whose trace the requests replay")
     parser.add_argument("--spec", action="append", default=None,
@@ -420,8 +340,7 @@ def main(argv=None) -> int:
     parser.add_argument("--no-retry", action="store_true",
                         help="fail fast: disable the retry/backoff layer")
     parser.add_argument("--max-attempts", type=int, default=None,
-                        help="retry attempts per request and shard "
-                             "(default: 5 for --server, 2 on a ring)")
+                        help="retry attempts per request (default: 5)")
     parser.add_argument("--retry-budget", type=float, default=None,
                         help="cumulative backoff sleep budget in seconds")
     parser.add_argument("--seed", type=int, default=None,
@@ -440,40 +359,21 @@ def main(argv=None) -> int:
     if args.no_retry:
         resilience = None
     else:
-        # One daemon has nowhere to fail over, so it is retried in place;
-        # on a ring a sick shard fails over to a replica in milliseconds.
-        resilience = (ResilienceConfig() if args.server is not None
-                      else SHARD_RESILIENCE)
+        resilience = ResilienceConfig()
         if args.max_attempts is not None:
             resilience = replace(resilience, max_attempts=args.max_attempts)
         if args.retry_budget is not None:
             resilience = replace(resilience, retry_budget=args.retry_budget)
 
-    supervisor = None
-    if args.server is not None:
-        roster = [args.server]
-    elif args.membership is not None:
-        roster = args.membership
-    else:
-        supervisor = roster = ClusterSupervisor(ClusterConfig(
-            shards=args.shards, replication=args.replication,
-            workers=args.workers,
-        ))
-        supervisor.start()
-
-    try:
-        with tempfile.TemporaryDirectory(prefix="alda-loadgen-") as tmp:
-            store = TraceStore(tmp)
-            workload = ALL[args.workload]
-            reader = store.get_or_record(workload, args.scale)
-            trace_bytes = store.trace_path(workload, args.scale).read_bytes()
-            gen = LoadGen(roster, specs, reader.digest, trace_bytes,
-                          args.requests, args.concurrency, args.rate,
-                          args.timeout, resilience=resilience, seed=args.seed)
-            report = gen.run()
-    finally:
-        if supervisor is not None:
-            supervisor.stop()
+    with tempfile.TemporaryDirectory(prefix="alda-loadgen-") as tmp:
+        store = TraceStore(tmp)
+        workload = ALL[args.workload]
+        reader = store.get_or_record(workload, args.scale)
+        trace_bytes = store.trace_path(workload, args.scale).read_bytes()
+        gen = LoadGen(args.server, specs, reader.digest, trace_bytes,
+                      args.requests, args.concurrency, args.rate,
+                      args.timeout, resilience=resilience, seed=args.seed)
+        report = gen.run()
     report["config"]["workload"] = args.workload
     report["config"]["scale"] = args.scale
 

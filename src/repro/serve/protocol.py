@@ -20,13 +20,6 @@ Request frames (client -> server):
 ``STATS``      admin: request a metrics snapshot (empty body)
 ``PING``       liveness probe (empty body)
 ``SHUTDOWN``   admin: ask the server to drain and exit (empty body)
-``PUT_TRACE``  replication: ingest raw trace bytes without scheduling a
-               replay (body is the trace payload); answered with PONG
-``PUT_RESULT`` replication: store a replay record computed by a peer
-               shard; JSON body ``{"digest", "spec", "record"}``,
-               answered with PONG.  The record lands in the result
-               cache under the same ``(digest, fingerprint)`` key a
-               local replay would use.
 =============  ==========================================================
 
 Response frames (server -> client):
@@ -67,8 +60,6 @@ STATS = 0x06
 PING = 0x07
 PONG = 0x08
 SHUTDOWN = 0x09
-PUT_TRACE = 0x0A
-PUT_RESULT = 0x0B
 
 FRAME_NAMES = {
     REQUEST: "REQUEST",
@@ -80,8 +71,6 @@ FRAME_NAMES = {
     PING: "PING",
     PONG: "PONG",
     SHUTDOWN: "SHUTDOWN",
-    PUT_TRACE: "PUT_TRACE",
-    PUT_RESULT: "PUT_RESULT",
 }
 
 #: Error codes carried by ``ERROR`` frames.
@@ -91,7 +80,6 @@ ERROR_CODES = (
     "UNKNOWN_SPEC",     # analysis registry key not found
     "UNKNOWN_TRACE",    # digest-only request for a trace never ingested
     "BAD_TRACE",        # trace bytes failed validation
-    "BAD_RESULT",       # PUT_RESULT payload failed validation
     "TIMEOUT",          # per-request deadline elapsed
     "WORKER_CRASH",     # the worker died executing this request
     "ANALYSIS_ERROR",   # the replay itself raised
@@ -183,28 +171,6 @@ def decode_request(body: bytes) -> Request:
             raise ProtocolError("'timeout' must be a finite number above 0")
     return Request(spec=header["spec"], digest=digest, timeout=timeout,
                    trace_bytes=trace_bytes)
-
-
-def encode_put_result(digest: str, spec: str, record: dict) -> bytes:
-    """Frame a peer-computed replay record for cross-shard replication."""
-    return encode_json_frame(
-        PUT_RESULT, {"digest": digest, "spec": spec, "record": record}
-    )
-
-
-def decode_put_result(body: bytes) -> Tuple[str, str, dict]:
-    """Validate a PUT_RESULT body -> (digest, spec, record)."""
-    payload = decode_json_body(body)
-    digest = payload.get("digest")
-    spec = payload.get("spec")
-    record = payload.get("record")
-    if not isinstance(digest, str) or not digest:
-        raise ProtocolError("PUT_RESULT requires a string 'digest'")
-    if not isinstance(spec, str) or not spec:
-        raise ProtocolError("PUT_RESULT requires a string 'spec'")
-    if not isinstance(record, dict) or not record:
-        raise ProtocolError("PUT_RESULT requires an object 'record'")
-    return digest, spec, record
 
 
 def decode_json_body(body: bytes) -> dict:

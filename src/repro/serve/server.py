@@ -252,22 +252,6 @@ class AnalysisServer:
                         # request, keep the connection and server alive
                         self._send_error(writer, "INTERNAL",
                                          f"{type(exc).__name__}: {exc}")
-                elif frame_type == protocol.PUT_TRACE:
-                    try:
-                        await self._handle_put_trace(writer, body)
-                    except (ConnectionResetError, BrokenPipeError):
-                        raise
-                    except Exception as exc:  # noqa: BLE001
-                        self._send_error(writer, "INTERNAL",
-                                         f"{type(exc).__name__}: {exc}")
-                elif frame_type == protocol.PUT_RESULT:
-                    try:
-                        await self._handle_put_result(writer, body)
-                    except (ConnectionResetError, BrokenPipeError):
-                        raise
-                    except Exception as exc:  # noqa: BLE001
-                        self._send_error(writer, "INTERNAL",
-                                         f"{type(exc).__name__}: {exc}")
                 elif frame_type == protocol.SHUTDOWN:
                     protocol.write_frame(writer, protocol.PONG)
                     await writer.drain()
@@ -414,67 +398,6 @@ class AnalysisServer:
             return
         self._send_result(writer, record, started, cached_hit=False,
                           single_flight=joined)
-
-    # -- replication (repro.cluster write path) ------------------------
-    async def _handle_put_trace(self, writer, body: bytes) -> None:
-        """Ingest replicated trace bytes without scheduling a replay."""
-        if self._draining:
-            self._send_error(writer, "SHUTTING_DOWN", "server is draining")
-            return
-        if not body:
-            self._send_error(writer, "BAD_TRACE", "PUT_TRACE carries no bytes")
-            return
-        loop = asyncio.get_running_loop()
-        try:
-            await loop.run_in_executor(None, self.store.ingest, body)
-        except TraceFormatError as exc:
-            self._send_error(writer, "BAD_TRACE", str(exc))
-            return
-        self.metrics.counter("traces_replicated_in").inc()
-        protocol.write_frame(writer, protocol.PONG)
-
-    async def _handle_put_result(self, writer, body: bytes) -> None:
-        """Store a replay record computed by a peer shard.
-
-        The record is cached under the same ``(digest, fingerprint)``
-        key a local replay would produce, so a later digest-only request
-        is a cache hit with no replay.  Validation is structural (known
-        spec, well-formed digest, the cost fields a RESULT must carry);
-        the record's *numbers* are trusted — replicas are peers, and the
-        chaos suite holds the correct-or-typed invariant across them.
-        """
-        if self._draining:
-            self._send_error(writer, "SHUTTING_DOWN", "server is draining")
-            return
-        try:
-            digest, spec, record = protocol.decode_put_result(body)
-        except protocol.ProtocolError as exc:
-            self._send_error(writer, "BAD_RESULT", str(exc))
-            return
-        if spec not in ANALYSIS_SPECS:
-            self._send_error(
-                writer, "UNKNOWN_SPEC",
-                f"unknown analysis spec {spec!r:.80}; "
-                f"known: {sorted(ANALYSIS_SPECS)}",
-            )
-            return
-        try:
-            TraceStore.check_digest(digest)
-        except ValueError as exc:
-            self._send_error(writer, "BAD_RESULT", str(exc))
-            return
-        missing = [name for name in ("instrumented_cycles", "metadata_bytes",
-                                     "n_reports")
-                   if name not in record]
-        if missing:
-            self._send_error(writer, "BAD_RESULT",
-                             f"record misses required fields {missing}")
-            return
-        key = TraceStore.result_key(digest, await self._fingerprint(spec))
-        await asyncio.get_running_loop().run_in_executor(
-            None, self.store.store_result, key, record)
-        self.metrics.counter("results_replicated_in").inc()
-        protocol.write_frame(writer, protocol.PONG)
 
     async def _fingerprint(self, spec: str) -> str:
         """``analysis_fingerprint(spec)``, memoized per server.

@@ -14,9 +14,9 @@ def stub_figure(monkeypatch):
     calls = {}
 
     def fake_figure4(scale=1, verbose=False, jobs=1, trace_cache=None,
-                     server=None, cluster=None, backend="compiled"):
+                     server=None, backend="compiled"):
         calls.update(scale=scale, jobs=jobs, trace_cache=trace_cache,
-                     server=server, cluster=cluster, backend=backend)
+                     server=server, backend=backend)
         data = FigureData("stub", series=["A"])
         data.add("w1", "A", 2.0)
         data.summary["avg"] = 2.0

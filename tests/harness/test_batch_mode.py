@@ -10,11 +10,6 @@ from repro.trace import TraceStore
 
 
 @pytest.fixture(scope="module")
-def inline_fig4():
-    return figure4()
-
-
-@pytest.fixture(scope="module")
 def batch_fig4(tmp_path_factory):
     store = TraceStore(tmp_path_factory.mktemp("fig4-batch-traces"))
     return figure4(jobs=2, trace_cache=store)

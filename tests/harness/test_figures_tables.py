@@ -7,7 +7,7 @@ what factor — not absolute numbers (DESIGN.md section 2).
 
 import pytest
 
-from repro.harness.figures import figure3, figure4, figure5
+from repro.harness.figures import figure3, figure5
 from repro.harness.runner import geomean
 from repro.harness.tables import (
     TABLE3_EXPECTED,
@@ -26,8 +26,8 @@ def fig3():
 
 
 @pytest.fixture(scope="module")
-def fig4():
-    return figure4()
+def fig4(inline_fig4):
+    return inline_fig4
 
 
 class TestFigure3:

@@ -16,11 +16,6 @@ def server():
 
 
 @pytest.fixture(scope="module")
-def inline_fig4():
-    return figure4()
-
-
-@pytest.fixture(scope="module")
 def served_fig4(server, tmp_path_factory):
     from repro.trace import TraceStore
 

@@ -118,13 +118,6 @@ def test_unknown_spec_is_not_echoed_whole(make_server, fft_trace):
         assert exc_info.value.code == "UNKNOWN_SPEC"
         assert "x" * 80 not in exc_info.value.message  # quoted to 80 chars
         assert len(exc_info.value.message) < 1000
-        with pytest.raises(RequestFailed) as exc_info:
-            client.put_result(digest, spec,
-                              {"instrumented_cycles": 1, "metadata_bytes": 1,
-                               "n_reports": 1})
-        assert exc_info.value.code == "UNKNOWN_SPEC"
-        assert "x" * 80 not in exc_info.value.message
-        assert len(exc_info.value.message) < 1000
         assert client.ping()
 
 
@@ -209,11 +202,6 @@ def test_malformed_digest_typed_errors(make_server, digest):
             client.submit("eraser.full", digest=digest)
         assert exc_info.value.code == "BAD_FRAME"
         assert len(str(exc_info.value)) < 200  # the digest is not echoed whole
-        with pytest.raises(RequestFailed) as exc_info:
-            client.put_result(digest, "eraser.full",
-                              {"instrumented_cycles": 1, "metadata_bytes": 1,
-                               "n_reports": 1})
-        assert exc_info.value.code == "BAD_RESULT"
         assert client.ping()
 
 

@@ -87,7 +87,6 @@ def test_docs_exist():
         "TUTORIAL.md",
         "TRACING.md",
         "SERVING.md",
-        "CLUSTER.md",
         "PARTITION.md",
         "FUZZ.md",
     ):
