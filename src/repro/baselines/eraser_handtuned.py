@@ -81,7 +81,7 @@ class HandTunedEraser:
 
     def __init__(self, max_threads: int = 8) -> None:
         self.max_threads = max_threads
-        self._vm = None
+        self._reporter = None
         self._meter = None
         self._records = None
         self._locks = None
@@ -92,7 +92,7 @@ class HandTunedEraser:
 
     def attach(self, vm, hooks=None) -> "HandTunedEraser":
         hooks = hooks if hooks is not None else vm.hooks
-        self._vm = vm
+        self._reporter = vm.reporter
         meter = CostMeter(vm.profile, vm.cache)
         self._meter = meter
         space = MetadataSpace.fresh()
@@ -177,7 +177,7 @@ class HandTunedEraser:
             # Emptiness test scans the 256-bit mask: four word compares.
             meter.cycles(_LOCK_WORDS)
             if new_status == SHARED_MODIFIED and lockbits[row] == 0:
-                self._vm.reporter.report(
+                self._reporter.report(
                     self.name, "access", "data race (empty lockset)", loc,
                     actual=1, expected=0,
                 )

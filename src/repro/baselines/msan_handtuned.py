@@ -40,14 +40,14 @@ class HandTunedMSan:
     needs_shadow = True
 
     def __init__(self) -> None:
-        self._vm = None
+        self._reporter = None
         self._meter = None
         self._shadow = None
         self._sizes = None
 
     def attach(self, vm, hooks=None) -> "HandTunedMSan":
         hooks = hooks if hooks is not None else vm.hooks
-        self._vm = vm
+        self._reporter = vm.reporter
         meter = CostMeter(vm.profile, vm.cache)
         self._meter = meter
         space = MetadataSpace.fresh()
@@ -143,7 +143,7 @@ class HandTunedMSan:
         self._meter.cycles(1)
         label = ctx.operand_shadow(1)
         if label != 0:
-            self._vm.reporter.report(
+            self._reporter.report(
                 self.name, "onBranch", "use of uninitialized value", ctx.loc,
                 actual=label, expected=0,
             )

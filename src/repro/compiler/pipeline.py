@@ -75,11 +75,17 @@ class AnalysisRuntime:
         self.reporter = reporter
         self.externals = externals
         self.maps = []
-        self.handlers: Dict[str, object] = {}
+        self.make_handlers = None  # the generated ``make_handlers(RT)``
         self.vm = None  # set at attach time; used for report backtraces
         self._memo: Optional[dict] = {} if memo_enabled else None
         self._last_event_seq = -2
         self._interners: Dict[str, KeyInterner] = {}
+
+    @property
+    def handlers(self) -> Dict[str, object]:
+        """The generated handlers by name, made afresh on each read: they
+        close over the runtime, so storing them here would be a cycle."""
+        return self.make_handlers(self)[0]
 
     def intern(self, type_name: str, domain: int, key: int) -> int:
         """Dense-rename a sparse bounded value (e.g. a lock address)."""
@@ -194,9 +200,10 @@ class CompiledAnalysis:
 
         namespace: Dict[str, object] = {}
         exec(_handler_code(self.source, self.name), namespace)
-        handlers, adapters = namespace["make_handlers"](runtime)
-        runtime.handlers = handlers
-        register_adapters(hooks if hooks is not None else vm.hooks, adapters)
+        # Popped, so the namespace (its __globals__) does not refer back to it.
+        runtime.make_handlers = namespace.pop("make_handlers")
+        register_adapters(hooks if hooks is not None else vm.hooks,
+                          runtime.make_handlers(runtime)[1])
         return runtime
 
 

@@ -183,6 +183,7 @@ def run_chaos(
         trace_bytes = store.trace_path(ALL[workload], scale).read_bytes()
         daemon_root = Path(tmp) / "daemon"
         handle = None
+        drained = False
         try:
             # The plan is armed before the daemon starts, so its pool
             # workers inherit it through the environment.
@@ -203,7 +204,7 @@ def run_chaos(
             storm = gen.run()
         finally:
             if handle is not None:
-                handle.stop()
+                drained = handle.stop()
             faultline.clear()
             if previous_env is None:
                 os.environ.pop(faultline.ENV_VAR, None)
@@ -214,7 +215,7 @@ def run_chaos(
     # the storm.
     snapshot = gen.snapshot
     return ChaosReport.from_storm(
-        storm, seed=seed, server_alive=snapshot is not None, drained=True,
+        storm, seed=seed, server_alive=snapshot is not None, drained=drained,
         health=snapshot.get("health") if snapshot else None,
         plan_stats=plan.stats(),
     )

@@ -38,6 +38,7 @@ in-flight replays get a grace period to finish.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import contextlib
 import signal
 import socket as socketlib
@@ -512,12 +513,20 @@ class ServerHandle:
     def port(self) -> int:
         return self.server.port
 
-    def stop(self, timeout: float = 10.0) -> None:
+    def stop(self, timeout: float = 10.0) -> bool:
+        """Shut down; True iff the server thread exited within ``timeout``
+        and no replay was left in flight."""
         if self._thread.is_alive():
-            asyncio.run_coroutine_threadsafe(
-                self.server.shutdown(), self._loop
-            ).result(timeout)
+            try:
+                asyncio.run_coroutine_threadsafe(
+                    self.server.shutdown(), self._loop
+                ).result(timeout)
+            except concurrent.futures.TimeoutError:
+                return False
             self._thread.join(timeout)
+        scheduler = self.server.scheduler
+        return not self._thread.is_alive() and (
+            scheduler is None or scheduler.drain_empty())
 
     def __enter__(self) -> "ServerHandle":
         return self

@@ -53,7 +53,6 @@ class TraceRecorder(ExecutionTracer):
 
     def __init__(self, writer: TraceWriter) -> None:
         self._writer = writer
-        self._vm: Optional[Interpreter] = None
         #: id(frame.shadow) -> trace frame serial, live frames only
         self._serials: Dict[int, int] = {}
 
@@ -111,7 +110,6 @@ class TraceRecorder(ExecutionTracer):
         return callback
 
     def attach(self, vm: Interpreter) -> "TraceRecorder":
-        self._vm = vm
         vm.set_tracer(self)
 
         # Wrap the shared cache so every program access lands in the

@@ -438,6 +438,9 @@ class ReplayState:
         profile = self.vm.profile
         profile.mem_cycles += self.mem_cycles
         profile.cache = self.vm.cache.stats
+        # The attached runtimes refer to the replay VM; dropping its hook
+        # table leaves nothing it owns pointing back at it.
+        self.vm.hooks.release()
         return profile, self.vm.reporter
 
 

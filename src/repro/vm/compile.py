@@ -236,12 +236,14 @@ class _Binder:
                          sizes, result_size, loc)
 
 
-def bind_module(vm: Interpreter,
-                compiled: Optional[CompiledModule] = None) -> Dict[str, list]:
+def bind_module(vm: Interpreter, compiled: Optional[CompiledModule] = None
+                ) -> Dict[Tuple[str, str], list]:
     """Stage 2: produce executable code lists for one Interpreter.
 
-    Returns ``{function name: entry-block closure list}``; every branch
-    target inside the closures aliases the same list objects.
+    Returns ``{(function name, block label): closure list}``; every
+    branch target inside the closures aliases the same list objects.
+    The closures close over the VM, and a loop's list holds a closure
+    that holds the list: the VM clears every list when its run ends.
     """
     if compiled is None:
         compiled = compile_module(vm.module)
@@ -260,7 +262,7 @@ def bind_module(vm: Interpreter,
                     # sits in frame.code — tag closures like instructions.
                     step.loc = raw_loc
                 out.append(step)
-    return binder.entries
+    return binder.code
 
 
 def _make_finish(b: _Binder, result_reg: Optional[str]):

@@ -64,6 +64,12 @@ class Hooks:
     def add_function(self, position: str, name: str, callback: Callback) -> None:
         self.add(position, "func:" + name, callback)
 
+    def release(self) -> None:
+        """Drop every subscriber once the run it served has ended;
+        ``bound`` stays set, so a late :meth:`add` still raises."""
+        self.before.clear()
+        self.after.clear()
+
     @property
     def empty(self) -> bool:
         return not self.before and not self.after

@@ -174,7 +174,9 @@ class Interpreter:
         #: switch loop below.  Both produce the same observable state,
         #: bit for bit.
         self.backend = backend
-        self._entry_code: Optional[Dict[str, list]] = None
+        #: (function, block label) -> bound closure list (compiled backend)
+        self._code: Optional[Dict[Tuple[str, str], list]] = None
+        self._ran = False
 
     def set_tracer(self, tracer) -> None:
         """Install an :class:`repro.vm.events.ExecutionTracer` (or None).
@@ -292,10 +294,10 @@ class Interpreter:
                 f"{function.name} expects {len(function.params)} args, got {len(args)}"
             )
         thread = ThreadState(len(self.threads))
-        entry_code = self._entry_code
+        code = self._code
         frame = Frame(
             function, dict(zip(function.params, args)),
-            entry_code[function.name] if entry_code is not None else None,
+            code[function.name, function.entry] if code is not None else None,
         )
         frame.stack_mark = thread.stack_top
         thread.frames.append(frame)
@@ -308,47 +310,63 @@ class Interpreter:
     # run loop
     # ------------------------------------------------------------------
     def run(self, entry: str = "main", args: Sequence[int] = ()) -> Profile:
+        if self._ran:
+            raise VMError("this VM has already run; build a new Interpreter")
+        self._ran = True
         self.hooks.bound = True
-        if self.backend == "compiled":
-            if self._entry_code is None:
-                # Bound here — not in __init__ — so the snapshot sees the
+        try:
+            if self.backend == "compiled":
+                # Bound here — not in __init__ — so the closures see the
                 # hooks analyses attached and any wrapped cache.access.
                 from repro.vm.compile import bind_module
 
-                self._entry_code = bind_module(self)
-            run_quantum = self._run_quantum_compiled
-        else:
-            if self._elision_masks and not self.threads:
-                self._materialize_elision()
-            run_quantum = self._run_quantum
-        main = self.module.get_function(entry)
-        self._new_thread(main, list(args))
-        steps_budget = self.max_steps
-        while True:
-            ran_any = False
-            all_done = True
-            for thread in list(self.threads):
-                status = thread.status
-                if status == _DONE:
-                    continue
-                all_done = False
-                if status != _RUNNABLE:
-                    continue
-                ran_any = True
-                executed = run_quantum(thread)
-                steps_budget -= executed
-                if steps_budget <= 0:
-                    raise VMError(f"exceeded max_steps={self.max_steps}")
-            if all_done:
-                break
-            if not ran_any:
-                raise DeadlockError(
-                    f"all {len(self.threads)} threads blocked "
-                    f"(joins/mutexes can never be satisfied)"
-                )
+                self._code = bind_module(self)
+                run_quantum = self._run_quantum_compiled
+            else:
+                if self._elision_masks:
+                    self._materialize_elision()
+                run_quantum = self._run_quantum
+            main = self.module.get_function(entry)
+            self._new_thread(main, list(args))
+            steps_budget = self.max_steps
+            while True:
+                ran_any = False
+                all_done = True
+                for thread in list(self.threads):
+                    status = thread.status
+                    if status == _DONE:
+                        continue
+                    all_done = False
+                    if status != _RUNNABLE:
+                        continue
+                    ran_any = True
+                    executed = run_quantum(thread)
+                    steps_budget -= executed
+                    if steps_budget <= 0:
+                        raise VMError(f"exceeded max_steps={self.max_steps}")
+                if all_done:
+                    break
+                if not ran_any:
+                    raise DeadlockError(
+                        f"all {len(self.threads)} threads blocked "
+                        f"(joins/mutexes can never be satisfied)"
+                    )
+        finally:
+            self._release()
         self.profile.heap_peak_bytes = self.heap.peak_bytes
         self.profile.cache = self.cache.stats
         return self.profile
+
+    def _release(self) -> None:
+        """End of run: drop all that closes over the VM or its cache (bound
+        closures, frames, hooks, the recorder's ``cache.access``), so
+        reference counting frees the run once the caller drops the VM."""
+        for code in (self._code or {}).values():
+            code.clear()
+        for thread in self.threads:
+            thread.frames.clear()
+        self.hooks.release()
+        vars(self.cache).pop("access", None)
 
     # ------------------------------------------------------------------
     # core execution

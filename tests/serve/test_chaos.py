@@ -181,6 +181,40 @@ def test_chaos_is_deterministic_in_its_schedule():
     assert first.plan_stats["checks"] == second.plan_stats["checks"]
 
 
+def test_stuck_shutdown_is_not_drained(monkeypatch):
+    # A daemon whose shutdown never completes has not drained: the report
+    # must say so and fail the invariant instead of assuming a clean stop.
+    import asyncio
+
+    from repro.serve import chaos, server
+
+    real_shutdown = server.AnalysisServer.shutdown
+    real_stop = server.ServerHandle.stop
+    handles = []
+
+    async def never(self):
+        await asyncio.Event().wait()
+
+    def start(config):
+        handles.append(server.serve_in_thread(config))
+        return handles[-1]
+
+    monkeypatch.setattr(server.AnalysisServer, "shutdown", never)
+    monkeypatch.setattr(server.ServerHandle, "stop",
+                        lambda self, timeout=0.5: real_stop(self, timeout))
+    monkeypatch.setattr(chaos, "serve_in_thread", start)
+    try:
+        report = run_chaos(seed=1, points={}, requests=2, workers=0)
+    finally:
+        for handle in handles:  # the real shutdown, so the thread ends
+            asyncio.run_coroutine_threadsafe(
+                real_shutdown(handle.server), handle._loop).result(10)
+            handle._thread.join(10)
+    assert report.server_alive
+    assert report.drained is False
+    assert report.invariant_ok is False
+
+
 def test_report_serializes(tmp_path):
     report = run_chaos(seed=1, points={}, requests=4)
     payload = report.to_dict()

@@ -228,3 +228,16 @@ class TestProfileAccounting:
         vm = Interpreter(b.module)
         profile = vm.run()
         assert profile.heap_peak_bytes == 1000
+
+
+@pytest.mark.parametrize("backend", ["compiled", "reference"])
+def test_second_run_is_refused(backend):
+    """A run releases its bound closures and hook table when it ends, so
+    a second run on the same VM raises instead of adding to the profile."""
+    from tests.conftest import build_linear_program
+
+    vm = Interpreter(build_linear_program(), backend=backend)
+    cycles = vm.run().cycles
+    with pytest.raises(VMError, match="already run; build a new Interpreter"):
+        vm.run()
+    assert vm.profile.cycles == cycles
