@@ -1,38 +1,44 @@
-"""Multiprocessing batch executor over recorded traces.
+"""Multiprocessing batch executor for the figures' jobs.
 
 The unit of work is a :class:`JobSpec`: one workload, one analysis
 configuration (named by a registry key so jobs pickle cheaply), one
 scale.  :func:`run_batch` groups a batch's jobs by ``(workload,
-scale)`` and runs each group as one task, :func:`_run_trace`, in
-process or on a worker pool (one trace per task):
+scale)`` and runs each group as one task, in process or on a worker
+pool.  Which task depends on whether the batch has a trace store:
 
-1. **Meta** — read the trace's tail meta (digest, summary) with two
-   seeks and look every distinct spec up in the result cache, keyed by
-   ``(trace digest, analysis fingerprint)``.  A warm rerun stops here
-   without reading a payload byte.
-2. **Settle** — on a miss, open the trace (recording it if absent) and
-   settle every missing spec together, segment by segment
-   (:func:`repro.trace.replayer.settle_trace`): each segment is decoded
-   once, fired through each spec's own replay state, and dropped, so a
-   task holds one trace's payload and one segment of decoded records.
+* **No store** — :func:`_run_workload` runs the workload plain once,
+  then instrumented once per distinct spec, exactly as
+  :func:`repro.harness.runner.measure_overhead` does.  Nothing is
+  recorded or cached.
+* **A store** — :func:`_run_trace` works through the store, one trace
+  per task:
+
+  1. **Meta** — read the trace's tail meta (digest, summary) with two
+     seeks and look every distinct spec up in the result cache, keyed
+     by ``(trace digest, analysis fingerprint)``.  A warm rerun stops
+     here without reading a payload byte.
+  2. **Settle** — on a miss, open the trace (recording it if absent)
+     and settle every missing spec together, segment by segment
+     (:func:`repro.trace.replayer.settle_trace`): each segment is
+     decoded once, fired through each spec's own replay state, and
+     dropped, so a task holds one trace's payload and one segment of
+     decoded records.
 
 Partitioned replay (:mod:`repro.partition`) is not a batch path: a
-batch parallelizes across traces, and only the serve daemon shards one
-trace's decode.
+batch parallelizes across workloads, and only the serve daemon shards
+one trace's decode.
 
 Replay is bit-identical to the inline run (see
-:mod:`repro.trace.replayer`), so batch results are interchangeable with
-``measure_overhead``'s.  The fingerprint hashes the analysis
-implementation (generated Python for ALDAcc-compiled analyses, class
-source for hand-tuned baselines), so editing an analysis — or a
-workload, which changes the trace digest — invalidates exactly the
-affected cache entries.
+:mod:`repro.trace.replayer`), so both tasks return the same results.
+The fingerprint hashes the analysis implementation (generated Python
+for ALDAcc-compiled analyses, class source for hand-tuned baselines),
+so editing an analysis — or a workload, which changes the trace
+digest — invalidates exactly the affected cache entries.
 
 Workers are :class:`repro.exec.workers.PersistentWorkerPool` processes;
-``build_analysis``'s per-process ``lru_cache`` keeps each analysis
-compiled at most once per worker, and because the pool is long-lived
-the same warm caches back the resident analysis daemon
-(:mod:`repro.serve`).
+``build_analysis`` keeps each compiled analysis built at most once per
+process, and because the pool is long-lived the same warm analyses back
+the resident analysis daemon (:mod:`repro.serve`).
 """
 
 from __future__ import annotations
@@ -40,9 +46,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import inspect
-import tempfile
+import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Sequence, Union
 
 from repro.trace.replayer import settle_trace
 from repro.trace.store import StoreCorruptionError, TraceStore, module_digest
@@ -126,16 +132,32 @@ ANALYSIS_SPECS: Dict[str, Callable[[], object]] = {
 }
 
 
-@functools.lru_cache(maxsize=None)
+#: spec key -> its compiled analysis, built at most once per process
+_COMPILED: Dict[str, object] = {}
+
+
 def build_analysis(spec: str):
-    """Build (and memoize per process) the attachable for a spec key."""
+    """The attachable for a spec key.
+
+    A compiled analysis is immutable, so it is built once per process
+    and shared.  A hand-tuned baseline keeps the state of its latest
+    attach (cost meter, cache simulator, shadow and lock tables), so
+    each call builds a fresh one, whose state dies with its run.
+    """
+    if spec in _COMPILED:
+        return _COMPILED[spec]
+    from repro.compiler import CompiledAnalysis
+
     try:
         builder = ANALYSIS_SPECS[spec]
     except KeyError:
         raise KeyError(
             f"unknown analysis spec {spec!r}; known: {sorted(ANALYSIS_SPECS)}"
         ) from None
-    return builder()
+    attachable = builder()
+    if isinstance(attachable, CompiledAnalysis):
+        _COMPILED[spec] = attachable
+    return attachable
 
 
 @functools.lru_cache(maxsize=None)
@@ -205,10 +227,37 @@ class JobResult:
         }
 
 
-# -- per-trace driver (top level: must pickle) ---------------------------
+# -- per-workload tasks (top level: must pickle) ------------------------
 
-#: dotted task path for PersistentWorkerPool submission
+#: dotted task paths for PersistentWorkerPool submission
+WORKLOAD_TASK = "repro.exec.pool:_run_workload"
 TRACE_TASK = "repro.exec.pool:_run_trace"
+
+
+def _run_workload(packed) -> List[JobResult]:
+    """Every job of one (workload, scale), run inline: one plain run,
+    then one instrumented run per distinct spec."""
+    name, scale, jobs, backend = packed
+    from repro.harness import runner
+    from repro.workloads import ALL
+
+    workload = ALL[name]
+    baseline = runner.run_plain(workload, scale, backend=backend)
+    measured = {}
+    for spec in dict.fromkeys(job.spec for job in jobs):
+        started = time.perf_counter()
+        profile, reporter = runner.run_instrumented(
+            workload, [build_analysis(spec)], scale, backend=backend)
+        measured[spec] = {
+            "instrumented_cycles": profile.cycles,
+            "metadata_bytes": profile.metadata_bytes,
+            "n_reports": len(list(reporter)),
+            "wall_seconds": time.perf_counter() - started,
+        }
+    return [JobResult(workload=name, spec=job.spec, label=job.label or job.spec,
+                      scale=scale, baseline_cycles=baseline.cycles,
+                      **measured[job.spec])
+            for job in jobs]
 
 
 def _resolve(store: TraceStore, meta: dict, jobs: Sequence[JobSpec],
@@ -288,11 +337,14 @@ def run_batch(
     """Execute a batch of jobs; results come back in job order.
 
     Jobs are grouped by ``(workload, scale)`` and each group runs as one
-    :func:`_run_trace` task, in process or, with ``processes > 1``, on a
-    worker pool.  ``store`` may be a :class:`TraceStore`, a directory
-    path, or None (a temporary store discarded afterwards).  ``backend``
-    selects the VM backend that *records* missing traces; recordings are
-    byte-identical across backends (``tests/vm/test_backends.py``).
+    task, in process or, with ``processes > 1``, on a worker pool.
+    ``store`` may be a :class:`TraceStore` or a directory path: each
+    group then runs through the trace and result cache
+    (:func:`_run_trace`).  With no store each group runs inline
+    (:func:`_run_workload`) and nothing is recorded.  ``backend``
+    selects the VM backend of the inline runs and of recording missing
+    traces; both are bit-identical across backends
+    (``tests/vm/test_backends.py``).
     """
     jobs = list(jobs)
     if not jobs:
@@ -308,28 +360,23 @@ def run_batch(
             raise KeyError(f"unknown workload {job.workload!r}")
         groups.setdefault((job.workload, job.scale), []).append(index)
 
-    tempdir: Optional[tempfile.TemporaryDirectory] = None
-    if store is None:
-        tempdir = tempfile.TemporaryDirectory(prefix="alda-traces-")
-        store = TraceStore(tempdir.name)
-    elif not isinstance(store, TraceStore):
-        store = TraceStore(store)
-    tasks = [(str(store.root), name, scale, tuple(jobs[i] for i in indices), backend)
+    tasks = [(name, scale, tuple(jobs[i] for i in indices), backend)
              for (name, scale), indices in groups.items()]
+    if store is None:
+        task, run = WORKLOAD_TASK, _run_workload
+    else:
+        root = str((store if isinstance(store, TraceStore) else TraceStore(store)).root)
+        tasks = [(root, *packed) for packed in tasks]
+        task, run = TRACE_TASK, _run_trace
+    if processes > 1:
+        from repro.exec.workers import PersistentWorkerPool
 
-    try:
-        if processes > 1:
-            from repro.exec.workers import PersistentWorkerPool
-
-            with PersistentWorkerPool(processes) as pool:
-                settled = pool.map(TRACE_TASK, tasks)
-        else:
-            settled = [_run_trace(task) for task in tasks]
-        results: List[JobResult] = [None] * len(jobs)
-        for indices, group_results in zip(groups.values(), settled):
-            for index, result in zip(indices, group_results):
-                results[index] = result
-        return results
-    finally:
-        if tempdir is not None:
-            tempdir.cleanup()
+        with PersistentWorkerPool(processes) as pool:
+            per_group = pool.map(task, tasks)
+    else:
+        per_group = [run(packed) for packed in tasks]
+    results: List[JobResult] = [None] * len(jobs)
+    for indices, group_results in zip(groups.values(), per_group):
+        for index, result in zip(indices, group_results):
+            results[index] = result
+    return results

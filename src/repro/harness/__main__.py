@@ -105,16 +105,15 @@ def main(argv=None) -> int:
                         default="text", help="output format (csv/svg: figures only)")
     parser.add_argument("--backend", choices=("compiled", "reference"),
                         default="compiled",
-                        help="VM dispatch strategy for inline figure runs "
+                        help="VM dispatch strategy for figure runs "
                              "(docs/SUBSTRATE.md); both backends are "
                              "bit-identical, so this only changes wall-clock")
     parser.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                        help="worker processes for figures; >1 records each "
-                             "workload trace once and replays analyses in "
-                             "parallel (see docs/TRACING.md)")
+                        help="worker processes for figures, one workload "
+                             "per task (see docs/TRACING.md)")
     parser.add_argument("--trace-cache", metavar="DIR", default=None,
-                        help="persistent trace/result cache directory; implies "
-                             "record/replay mode even with --jobs 1")
+                        help="persistent trace/result cache directory: record "
+                             "each workload once and replay its analyses")
     parser.add_argument("--server", metavar="HOST:PORT", default=None,
                         help="execute figure replays on a repro.serve daemon "
                              "instead of a local pool (see docs/SERVING.md)")

@@ -11,10 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.analyses import eraser, fasttrack, msan, taint, uaf
-from repro.baselines import HandTunedEraser, HandTunedMSan
-from repro.compiler import CompileOptions, combine_sources, compile_analysis
-from repro.harness.runner import geomean, measure_overhead, run_plain
+from repro.harness.runner import geomean
 from repro.workloads import fig3_workloads, fig4_workloads, fig5_workloads
 
 
@@ -49,46 +46,35 @@ class FigureData:
         return "\n".join(lines)
 
 
-def _use_batch(jobs: int, trace_cache, server=None) -> bool:
-    return jobs > 1 or trace_cache is not None or server is not None
+def _run_jobs(names, series, scale: int, jobs: int, trace_cache, server,
+              backend: str) -> dict:
+    """Run every ``(spec, label)`` of ``series`` on every workload of
+    ``names``; results by ``(workload, label)``.
 
-
-def _run_batch(specs, jobs: int, trace_cache, server=None,
-               backend: str = "compiled"):
-    """specs: (workload, analysis spec, label) tuples plus a shared scale.
-
-    With ``server`` set (a ``HOST:PORT`` string or a
-    :class:`repro.serve.ServeClient`), jobs execute on a resident
-    analysis daemon instead of a local pool — replay is the same, so the
-    results are bit-identical either way.  An address string gets a
+    :func:`repro.exec.run_batch` runs them in process (``jobs=1``) or on
+    a worker pool, inline or, with ``trace_cache``, through the trace
+    and result cache.  With ``server`` set (a ``HOST:PORT`` string or a
+    :class:`repro.serve.ServeClient`), they execute on a resident
+    analysis daemon instead.  Replay is bit-identical to the inline
+    run, so every way gives the same results.  An address string gets a
     resilient client (default :class:`repro.serve.ResilienceConfig`):
     transient BUSY/reset/crash responses are retried with backoff
     instead of aborting the whole figure run.
     """
+    # Imported per call, so importing the harness does not load the
+    # batch executor and the trace package.
     from repro.exec import JobSpec, run_batch
 
-    tuples, scale = specs
-    job_specs = [
-        JobSpec(workload, spec, label, scale) for workload, spec, label in tuples
-    ]
+    job_specs = [JobSpec(workload, spec, label, scale)
+                 for workload in names for spec, label in series]
     if server is not None:
         from repro.serve.client import run_jobs
 
-        return run_jobs(server, job_specs, store=trace_cache)
-    return run_batch(job_specs, processes=jobs, store=trace_cache, backend=backend)
-
-
-def _bench_record(result) -> dict:
-    """BENCH row for an inline OverheadResult (batch results self-serialize)."""
-    return {
-        "workload": result.workload,
-        "label": result.label,
-        "baseline_cycles": result.baseline_cycles,
-        "instrumented_cycles": result.instrumented_cycles,
-        "overhead": result.overhead,
-        "metadata_bytes": result.profile.metadata_bytes,
-        "n_reports": len(result.reports),
-    }
+        results = run_jobs(server, job_specs, store=trace_cache)
+    else:
+        results = run_batch(job_specs, processes=jobs, store=trace_cache,
+                            backend=backend)
+    return {(r.workload, r.label): r for r in results}
 
 
 def figure3(scale: int = 1, verbose: bool = False, jobs: int = 1,
@@ -96,49 +82,27 @@ def figure3(scale: int = 1, verbose: bool = False, jobs: int = 1,
             backend: str = "compiled") -> FigureData:
     """LLVM MSan vs ALDA MSan across the 20 bug-free workloads.
 
-    ``backend`` selects the VM dispatch strategy for the inline path
-    (see :class:`repro.vm.Interpreter`) and for recording any missing
-    traces in batch mode; replay itself decodes recorded traces and is
+    ``backend`` selects the VM dispatch strategy (see
+    :class:`repro.vm.Interpreter`) of the runs and of recording any
+    missing traces; replay itself decodes recorded traces and is
     backend-independent.
     """
     data = FigureData("Figure 3: LLVM MSan vs ALDA MSan (normalized overhead)",
                       series=["LLVM", "ALDAcc"])
     memory_ratios = []
-    if _use_batch(jobs, trace_cache, server):
-        names = list(fig3_workloads())
-        tuples = []
-        for name in names:
-            tuples.append((name, "msan.handtuned", "LLVM"))
-            tuples.append((name, "msan.alda", "ALDAcc"))
-        results = _run_batch((tuples, scale), jobs, trace_cache, server,
-                             backend=backend)
-        by = {(r.workload, r.label): r for r in results}
-        for name in names:
-            llvm, alda = by[(name, "LLVM")], by[(name, "ALDAcc")]
-            data.add(name, "LLVM", llvm.overhead)
-            data.add(name, "ALDAcc", alda.overhead)
-            memory_ratios.append(
-                (alda.metadata_bytes or 1) / (llvm.metadata_bytes or 1)
-            )
-            data.bench.extend([llvm.to_dict(), alda.to_dict()])
-            if verbose:
-                print(f"  {name}: LLVM {llvm.overhead:.2f}x  ALDAcc {alda.overhead:.2f}x")
-    else:
-        alda_msan = msan.compile_()
-        for name, workload in fig3_workloads().items():
-            baseline = run_plain(workload, scale, backend=backend)
-            llvm = measure_overhead(workload, HandTunedMSan, scale, "LLVM",
-                                    baseline, backend=backend)
-            alda = measure_overhead(workload, alda_msan, scale, "ALDAcc",
-                                    baseline, backend=backend)
-            data.add(name, "LLVM", llvm.overhead)
-            data.add(name, "ALDAcc", alda.overhead)
-            memory_ratios.append(
-                (alda.profile.metadata_bytes or 1) / (llvm.profile.metadata_bytes or 1)
-            )
-            data.bench.extend([_bench_record(llvm), _bench_record(alda)])
-            if verbose:
-                print(f"  {name}: LLVM {llvm.overhead:.2f}x  ALDAcc {alda.overhead:.2f}x")
+    names = list(fig3_workloads())
+    by = _run_jobs(names, (("msan.handtuned", "LLVM"), ("msan.alda", "ALDAcc")),
+                   scale, jobs, trace_cache, server, backend)
+    for name in names:
+        llvm, alda = by[(name, "LLVM")], by[(name, "ALDAcc")]
+        data.add(name, "LLVM", llvm.overhead)
+        data.add(name, "ALDAcc", alda.overhead)
+        memory_ratios.append(
+            (alda.metadata_bytes or 1) / (llvm.metadata_bytes or 1)
+        )
+        data.bench.extend([llvm.to_dict(), alda.to_dict()])
+        if verbose:
+            print(f"  {name}: LLVM {llvm.overhead:.2f}x  ALDAcc {alda.overhead:.2f}x")
     data.summary["avg_llvm"] = geomean(data.series_values("LLVM"))
     data.summary["avg_aldacc"] = geomean(data.series_values("ALDAcc"))
     # Paper: "we measured the memory overhead ... roughly equivalent
@@ -156,53 +120,24 @@ def figure4(scale: int = 1, verbose: bool = False, jobs: int = 1,
         series=["Hand-Tuned", "ALDAcc-full", "ALDAcc-ds-only"],
     )
     memory_ratios = []
-    if _use_batch(jobs, trace_cache, server):
-        names = list(fig4_workloads())
-        tuples = []
-        for name in names:
-            tuples.append((name, "eraser.handtuned", "Hand-Tuned"))
-            tuples.append((name, "eraser.full", "ALDAcc-full"))
-            tuples.append((name, "eraser.ds_only", "ALDAcc-ds-only"))
-        results = _run_batch((tuples, scale), jobs, trace_cache, server,
-                             backend=backend)
-        by = {(r.workload, r.label): r for r in results}
-        for name in names:
-            hand = by[(name, "Hand-Tuned")]
-            alda = by[(name, "ALDAcc-full")]
-            ablate = by[(name, "ALDAcc-ds-only")]
-            data.add(name, "Hand-Tuned", hand.overhead)
-            data.add(name, "ALDAcc-full", alda.overhead)
-            data.add(name, "ALDAcc-ds-only", ablate.overhead)
-            memory_ratios.append(
-                (alda.metadata_bytes or 1) / (hand.metadata_bytes or 1)
-            )
-            data.bench.extend([hand.to_dict(), alda.to_dict(), ablate.to_dict()])
-            if verbose:
-                print(f"  {name}: hand {hand.overhead:.1f}x  full {alda.overhead:.1f}x  "
-                      f"ds-only {ablate.overhead:.1f}x")
-    else:
-        full = eraser.compile_()
-        ds_only = compile_analysis(eraser.SOURCE, eraser.OPTIONS.ds_only())
-        for name, workload in fig4_workloads().items():
-            baseline = run_plain(workload, scale, backend=backend)
-            hand = measure_overhead(workload, HandTunedEraser, scale, "Hand-Tuned",
-                                    baseline, backend=backend)
-            alda = measure_overhead(workload, full, scale, "ALDAcc-full",
-                                    baseline, backend=backend)
-            ablate = measure_overhead(workload, ds_only, scale, "ALDAcc-ds-only",
-                                      baseline, backend=backend)
-            data.add(name, "Hand-Tuned", hand.overhead)
-            data.add(name, "ALDAcc-full", alda.overhead)
-            data.add(name, "ALDAcc-ds-only", ablate.overhead)
-            memory_ratios.append(
-                (alda.profile.metadata_bytes or 1) / (hand.profile.metadata_bytes or 1)
-            )
-            data.bench.extend(
-                [_bench_record(hand), _bench_record(alda), _bench_record(ablate)]
-            )
-            if verbose:
-                print(f"  {name}: hand {hand.overhead:.1f}x  full {alda.overhead:.1f}x  "
-                      f"ds-only {ablate.overhead:.1f}x")
+    names = list(fig4_workloads())
+    series = (("eraser.handtuned", "Hand-Tuned"), ("eraser.full", "ALDAcc-full"),
+              ("eraser.ds_only", "ALDAcc-ds-only"))
+    by = _run_jobs(names, series, scale, jobs, trace_cache, server, backend)
+    for name in names:
+        hand = by[(name, "Hand-Tuned")]
+        alda = by[(name, "ALDAcc-full")]
+        ablate = by[(name, "ALDAcc-ds-only")]
+        data.add(name, "Hand-Tuned", hand.overhead)
+        data.add(name, "ALDAcc-full", alda.overhead)
+        data.add(name, "ALDAcc-ds-only", ablate.overhead)
+        memory_ratios.append(
+            (alda.metadata_bytes or 1) / (hand.metadata_bytes or 1)
+        )
+        data.bench.extend([hand.to_dict(), alda.to_dict(), ablate.to_dict()])
+        if verbose:
+            print(f"  {name}: hand {hand.overhead:.1f}x  full {alda.overhead:.1f}x  "
+                  f"ds-only {ablate.overhead:.1f}x")
     data.summary["avg_hand_tuned"] = geomean(data.series_values("Hand-Tuned"))
     data.summary["avg_aldacc_full"] = geomean(data.series_values("ALDAcc-full"))
     data.summary["avg_ds_only"] = geomean(data.series_values("ALDAcc-ds-only"))
@@ -217,10 +152,7 @@ def figure4(scale: int = 1, verbose: bool = False, jobs: int = 1,
     return data
 
 
-_FIG5_ANALYSES = ("eraser", "fasttrack", "uaf", "taint")
-
-
-#: analysis spec keys (see repro.exec.pool.ANALYSIS_SPECS) per fig5 series
+#: analysis spec key (see repro.exec.pool.ANALYSIS_SPECS) per fig5 series
 _FIG5_SPECS = {
     "eraser": "eraser.full",
     "fasttrack": "fasttrack.alda",
@@ -233,59 +165,26 @@ def figure5(scale: int = 1, verbose: bool = False, jobs: int = 1,
             trace_cache=None, server=None,
             backend: str = "compiled") -> FigureData:
     """Four analyses run individually vs combined into one (Figure 5)."""
-    series = list(_FIG5_ANALYSES) + ["sum_individual", "combined"]
+    series = list(_FIG5_SPECS) + ["sum_individual", "combined"]
     data = FigureData("Figure 5: combined analysis (normalized overhead)", series)
     speedups = []
-    if _use_batch(jobs, trace_cache, server):
-        names = list(fig5_workloads())
-        tuples = []
-        for name in names:
-            for analysis_name in _FIG5_ANALYSES:
-                tuples.append((name, _FIG5_SPECS[analysis_name], analysis_name))
-            tuples.append((name, "fig5.combined", "combined"))
-        results = _run_batch((tuples, scale), jobs, trace_cache, server,
-                             backend=backend)
-        by = {(r.workload, r.label): r for r in results}
-        for name in names:
-            total = 0.0
-            for analysis_name in _FIG5_ANALYSES:
-                result = by[(name, analysis_name)]
-                data.add(name, analysis_name, result.overhead)
-                data.bench.append(result.to_dict())
-                total += result.overhead
-            combined_result = by[(name, "combined")]
-            data.add(name, "sum_individual", total)
-            data.add(name, "combined", combined_result.overhead)
-            data.bench.append(combined_result.to_dict())
-            speedups.append(1.0 - combined_result.overhead / total)
-            if verbose:
-                print(f"  {name}: sum {total:.1f}x  combined {combined_result.overhead:.1f}x")
-    else:
-        modules = {"eraser": eraser, "fasttrack": fasttrack, "uaf": uaf, "taint": taint}
-        compiled = {name: mod.compile_() for name, mod in modules.items()}
-        combined_program = combine_sources([modules[n].SOURCE for n in _FIG5_ANALYSES])
-        combined = compile_analysis(
-            combined_program, CompileOptions(granularity=8, analysis_name="combined")
-        )
-        for name, workload in fig5_workloads().items():
-            baseline = run_plain(workload, scale, backend=backend)
-            total = 0.0
-            for analysis_name in _FIG5_ANALYSES:
-                result = measure_overhead(
-                    workload, compiled[analysis_name], scale, analysis_name,
-                    baseline, backend=backend,
-                )
-                data.add(name, analysis_name, result.overhead)
-                data.bench.append(_bench_record(result))
-                total += result.overhead
-            combined_result = measure_overhead(workload, combined, scale,
-                                               "combined", baseline,
-                                               backend=backend)
-            data.add(name, "sum_individual", total)
-            data.add(name, "combined", combined_result.overhead)
-            data.bench.append(_bench_record(combined_result))
-            speedups.append(1.0 - combined_result.overhead / total)
-            if verbose:
-                print(f"  {name}: sum {total:.1f}x  combined {combined_result.overhead:.1f}x")
+    names = list(fig5_workloads())
+    runs = [(spec, label) for label, spec in _FIG5_SPECS.items()]
+    runs.append(("fig5.combined", "combined"))
+    by = _run_jobs(names, runs, scale, jobs, trace_cache, server, backend)
+    for name in names:
+        total = 0.0
+        for analysis_name in _FIG5_SPECS:
+            result = by[(name, analysis_name)]
+            data.add(name, analysis_name, result.overhead)
+            data.bench.append(result.to_dict())
+            total += result.overhead
+        combined_result = by[(name, "combined")]
+        data.add(name, "sum_individual", total)
+        data.add(name, "combined", combined_result.overhead)
+        data.bench.append(combined_result.to_dict())
+        speedups.append(1.0 - combined_result.overhead / total)
+        if verbose:
+            print(f"  {name}: sum {total:.1f}x  combined {combined_result.overhead:.1f}x")
     data.summary["avg_combined_speedup"] = sum(speedups) / len(speedups)
     return data

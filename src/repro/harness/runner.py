@@ -37,14 +37,6 @@ class OverheadResult:
         return self.instrumented_cycles / self.baseline_cycles
 
 
-def _materialize(source: AttachableSource) -> Attachable:
-    if isinstance(source, type):
-        return source()  # a class: instantiate fresh per run
-    if hasattr(source, "attach"):
-        return source
-    return source()  # a factory callable
-
-
 def _attach(attachable: Attachable, vm, elide: Optional[bool]) -> None:
     """Attach, forwarding the elision override to analyses that take it
     (hand-tuned baselines predate the ``elide`` keyword)."""
@@ -83,6 +75,9 @@ def run_instrumented(
     ``elide`` forces instrumentation elision on/off for every attached
     compiled analysis (None: each analysis's ``CompileOptions`` decides).
     """
+    # Imported here: the trace package is not needed to import the harness.
+    from repro.trace.replayer import _materialize
+
     attachables = [_materialize(source) for source in analyses]
     module = workload.make_module(scale)
     vm = Interpreter(
@@ -126,56 +121,6 @@ def measure_overhead(
         profile=profile,
         reports=list(reporter),
     )
-
-
-def measure_overhead_batch(
-    workload: Workload,
-    analyses: Sequence[AttachableSource],
-    scale: int = 1,
-    labels: Optional[Sequence[str]] = None,
-    store=None,
-) -> List[OverheadResult]:
-    """Record the workload once, then settle it through every analysis.
-
-    Equivalent to calling :func:`measure_overhead` per analysis — replay
-    is bit-identical to inline runs (see :mod:`repro.trace`) — but the
-    workload is interpreted exactly once however many analyses are
-    measured, and all settle together, segment by segment, as in the
-    batch executor (:func:`repro.trace.replayer.settle_trace`); an
-    analysis object passed twice settles once.  Pass a
-    :class:`repro.trace.TraceStore` to reuse traces across calls (and
-    processes); otherwise the trace lives in memory.
-    """
-    import io
-
-    from repro.trace import TraceReader, record_workload
-    from repro.trace.replayer import settle_trace
-
-    if store is not None:
-        reader = store.get_or_record(workload, scale)
-    else:
-        buffer = io.BytesIO()
-        record_workload(workload, scale, buffer)
-        reader = TraceReader(buffer.getvalue())
-    distinct = list({id(analysis): analysis for analysis in analyses}.values())
-    settled = dict(zip(map(id, distinct),
-                       settle_trace(reader, [[analysis] for analysis in distinct])))
-
-    results = []
-    for index, analysis in enumerate(analyses):
-        profile, reporter, _seconds = settled[id(analysis)]
-        label = labels[index] if labels else ""
-        results.append(
-            OverheadResult(
-                workload=workload.name,
-                label=label or getattr(analysis, "name", "analysis"),
-                baseline_cycles=reader.summary["plain_cycles"],
-                instrumented_cycles=profile.cycles,
-                profile=profile,
-                reports=list(reporter),
-            )
-        )
-    return results
 
 
 def geomean(values: Sequence[float]) -> float:

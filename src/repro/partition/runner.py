@@ -42,7 +42,7 @@ from repro.vm.reporting import Reporter
 
 from repro.partition.merge import PartitionError, PartitionShardError, settle
 from repro.partition.planner import PartitionPlan, plan_partition
-from repro.partition.shard import DECODE_SHARD_TASK, decode_shard, hooked_kinds
+from repro.partition.shard import DECODE_SHARD_TASK, decode_shard
 
 # Process-wide, reported under ``subsystems.partition`` by ``serve stats``.
 _COUNTERS = {name: PROCESS.counter("partition." + name) for name in (
@@ -103,13 +103,6 @@ def replay_partitioned(
     _COUNTERS["shards_planned"].inc(plan.n_shards)
     payloads = _shard_payloads(plan, meta, str(store.root), str(trace_path),
                                specs)
-    # Warm the hook-probe cache BEFORE settle attaches the analyses: the
-    # probe attaches the same memoized instances to a throwaway VM, and
-    # hand-tuned baselines bind internal billing state to their most
-    # recent attach — an inline decode probing mid-settle would hijack
-    # that binding and bill metadata traffic into the throwaway VM.
-    hooked_kinds(specs)
-
     if pool is None:
         def artifacts():
             for packed in payloads:

@@ -17,8 +17,8 @@ plan data it:
    settle loop fires handlers with exactly the seq a monolithic replay
    would have used.
 
-The hook probe builds the analyses in the worker (warm per-process via
-``build_analysis``'s lru_cache) and attaches them to a throwaway
+The hook probe builds the analyses in the worker (compiled ones once
+per process, by ``build_analysis``) and attaches them to a throwaway
 :class:`~repro.trace.replayer.ReplayVM`; analysis construction is
 deterministic, so the worker's hook table matches the settle VM's.
 """

@@ -106,11 +106,13 @@ class ReplayVM:
 
 
 def _materialize(source):
+    """The attachable behind an analysis source (an attachable, its
+    class or a factory); shared with :mod:`repro.harness.runner`."""
     if isinstance(source, type):
-        return source()
+        return source()  # a class: instantiate fresh per run
     if hasattr(source, "attach"):
         return source
-    return source()
+    return source()  # a factory callable
 
 
 def _decode_tail(buf: bytes, pos: int, table: List[str]) -> Tuple[tuple, int]:
@@ -458,8 +460,6 @@ def settle_trace(
     dropped, so at most one segment of decoded records is alive.
     Returns ``(profile, reporter, seconds)`` per set, ``seconds`` being
     that set's own attach and settle time, without the shared decode.
-    One attachable instance must not appear in two sets: hand-tuned
-    baselines bind to their most recent attach.
     """
     states, seconds = [], []
     for analyses in analysis_sets:

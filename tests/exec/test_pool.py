@@ -1,6 +1,7 @@
 """Tests for the batch executor."""
 
 import dataclasses
+import tempfile
 
 import pytest
 
@@ -16,6 +17,8 @@ from repro.exec import (
 from repro.baselines import HandTunedMSan
 from repro.harness.runner import measure_overhead
 from repro.trace import TraceReplayer, TraceStore
+from repro.trace import recorder as recorder_mod
+from repro.trace import store as store_mod
 from repro.trace.replayer import settle_trace
 from repro.workloads import ALL
 
@@ -92,10 +95,21 @@ def test_run_batch_records_each_workload_once(tmp_path):
     assert len(traces) == 2  # bzip2 + fft, not one per job
 
 
-def test_run_batch_temporary_store():
-    results = run_batch(JOBS[:1])  # no store: records into a tempdir
-    assert len(results) == 1
-    assert results[0].overhead > 1.0
+def test_run_batch_without_store_records_no_trace(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_batch without a store recorded a trace")
+
+    for module in (recorder_mod, store_mod):
+        monkeypatch.setattr(module, "record_workload", refuse)
+    monkeypatch.setattr(store_mod.TraceStore, "__init__", refuse)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    results = run_batch(JOBS)
+    assert not list(tmp_path.iterdir())
+    monkeypatch.undo()
+    traced = run_batch(JOBS, store=tmp_path)
+    for inline, replayed in zip(results, traced):
+        assert dataclasses.replace(inline, wall_seconds=0) == \
+            dataclasses.replace(replayed, wall_seconds=0)
 
 
 def test_job_result_serialization():

@@ -1,7 +1,7 @@
-"""Local batch harness path: figures computed through ``run_batch``
-(record once, settle from the trace cache) are bit-identical to the
-inline sequential path (the acceptance bar for ``--jobs`` and
-``--trace-cache``)."""
+"""Local batch harness paths: figures computed on a worker pool, inline
+or through the trace cache (record once, settle from it), are
+bit-identical to the in-process inline path (the acceptance bar for
+``--jobs`` and ``--trace-cache``)."""
 
 import pytest
 
@@ -35,8 +35,18 @@ def test_batch_bench_records_complete(batch_fig4):
 
 
 def test_trace_cache_at_one_job_matches_inline(inline_fig4, tmp_path_factory):
-    """``trace_cache=`` alone selects batch mode in process."""
+    """``trace_cache=`` alone runs through the trace cache in process."""
     store = TraceStore(tmp_path_factory.mktemp("fig4-jobs1-traces"))
     result = figure4(trace_cache=store)
     assert result.render() == inline_fig4.render()
     assert len(result.bench) == 12 * 3
+
+
+def test_pool_without_trace_cache_matches_inline(inline_fig4):
+    """``jobs=2`` alone runs each workload inline on a pool worker."""
+    result = figure4(jobs=2)
+    assert result.rows == inline_fig4.rows
+    assert result.summary == inline_fig4.summary
+    assert result.render() == inline_fig4.render()
+    assert len(result.bench) == 12 * 3
+    assert not any(record["cached"] for record in result.bench)

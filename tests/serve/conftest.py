@@ -87,5 +87,5 @@ def inject_spec():
     yield _inject
     for name in added:
         pool_mod.ANALYSIS_SPECS.pop(name, None)
-    pool_mod.build_analysis.cache_clear()
+    pool_mod._COMPILED.clear()
     pool_mod.analysis_fingerprint.cache_clear()

@@ -6,11 +6,7 @@ import pytest
 
 from repro.analyses import eraser, msan, sslsan
 from repro.baselines import HandTunedEraser, HandTunedMSan
-from repro.harness.runner import (
-    measure_overhead,
-    measure_overhead_batch,
-    run_instrumented,
-)
+from repro.harness.runner import run_instrumented
 from repro.trace import TraceReader, TraceReplayer, record_workload
 from repro.workloads import ALL
 from repro.workloads.bugs import WORKLOADS as BUG_WORKLOADS
@@ -101,15 +97,3 @@ def test_replay_without_shadow_skips_shadow_costs():
     inline_profile, _ = run_instrumented(workload, [HandTunedEraser])
     replay_profile, _ = TraceReplayer(_trace(workload)).replay([HandTunedEraser])
     assert replay_profile.instr_cycles == inline_profile.instr_cycles
-
-
-def test_measure_overhead_batch_equals_inline():
-    workload = ALL["bzip2"]
-    analyses = [msan.compile_(), eraser.compile_()]
-    batch = measure_overhead_batch(workload, analyses, labels=["m", "e"])
-    for analysis, label, result in zip(analyses, ["m", "e"], batch):
-        single = measure_overhead(workload, analysis, label=label)
-        assert result.label == label
-        assert result.baseline_cycles == single.baseline_cycles
-        assert result.instrumented_cycles == single.instrumented_cycles
-        assert result.overhead == single.overhead

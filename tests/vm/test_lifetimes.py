@@ -17,10 +17,14 @@ from __future__ import annotations
 
 import gc
 import io
+import types
 from collections import Counter
 
 import pytest
 
+import repro.compiler.pipeline as pipeline
+import repro.exec.pool as pool_mod
+import repro.harness.figures as figures
 from repro.baselines import HandTunedEraser, HandTunedMSan
 from repro.exec.pool import build_analysis
 from repro.harness.runner import measure_overhead, run_plain
@@ -104,3 +108,58 @@ def test_serve_replay_digest(compiled, tmp_path):
     store.ingest(store.trace_path(ALL["fft"], 1).read_bytes())
     payload = {"root": str(tmp_path), "digest": reader.digest, "spec": "eraser.full"}
     assert not _cyclic_repro_garbage(lambda: replay_digest(payload))
+
+
+def _reachable(root) -> Counter:
+    """Types of every object reachable from ``root`` through containers
+    and instances (modules, classes, functions and code are not walked:
+    they reach every module's globals)."""
+    opaque = (types.ModuleType, type, types.FunctionType,
+              types.BuiltinFunctionType, types.CodeType)
+    seen, stack, found = set(), [root], Counter()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, opaque):
+            continue
+        seen.add(id(obj))
+        found[type(obj).__qualname__] += 1
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+@pytest.fixture
+def two_fig3_workloads(monkeypatch):
+    monkeypatch.setattr(figures, "fig3_workloads",
+                        lambda: {name: ALL[name] for name in WORKLOADS})
+
+
+def test_figure_call(compiled, two_fig3_workloads):
+    data = {}
+    assert not _cyclic_repro_garbage(lambda: data.update(fig=figures.figure3()))
+    assert list(data["fig"].rows) == list(WORKLOADS)
+
+
+def test_second_figure_call_compiles_nothing(two_fig3_workloads, monkeypatch):
+    figures.figure3()
+    compiles = []
+
+    def counting(*args, **kwargs):
+        compiles.append(args)
+        return generate_module(*args, **kwargs)
+
+    generate_module = pipeline.generate_module
+    monkeypatch.setattr(pipeline, "generate_module", counting)
+    figures.figure3()
+    assert compiles == []
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_memo_keeps_no_run_state(compiled, traces, workload):
+    replayer = TraceReplayer(traces[workload])
+    for spec in ("msan.handtuned", "eraser.handtuned", "msan.alda"):
+        profile, _reporter = replayer.replay([build_analysis(spec)])
+        assert profile.handler_calls > 0
+    assert build_analysis("msan.handtuned") is not build_analysis("msan.handtuned")
+    reachable = _reachable(pool_mod._COMPILED)
+    assert reachable["CompiledAnalysis"] >= 1
+    assert reachable["CacheSim"] == 0
