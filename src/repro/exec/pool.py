@@ -48,10 +48,12 @@ import hashlib
 import inspect
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Union
 
-from repro.trace.replayer import settle_trace
-from repro.trace.store import StoreCorruptionError, TraceStore, module_digest
+# The trace package is imported on the store path only: a batch without
+# a store never records, decodes or caches.
+if TYPE_CHECKING:
+    from repro.trace.store import TraceStore
 
 # -- analysis registry ---------------------------------------------------
 # Spec keys name every configuration the figures use.  Builders are
@@ -237,17 +239,17 @@ TRACE_TASK = "repro.exec.pool:_run_trace"
 def _run_workload(packed) -> List[JobResult]:
     """Every job of one (workload, scale), run inline: one plain run,
     then one instrumented run per distinct spec."""
-    name, scale, jobs, backend = packed
+    name, scale, jobs = packed
     from repro.harness import runner
     from repro.workloads import ALL
 
     workload = ALL[name]
-    baseline = runner.run_plain(workload, scale, backend=backend)
+    baseline = runner.run_plain(workload, scale)
     measured = {}
     for spec in dict.fromkeys(job.spec for job in jobs):
         started = time.perf_counter()
         profile, reporter = runner.run_instrumented(
-            workload, [build_analysis(spec)], scale, backend=backend)
+            workload, [build_analysis(spec)], scale)
         measured[spec] = {
             "instrumented_cycles": profile.cycles,
             "metadata_bytes": profile.metadata_bytes,
@@ -268,8 +270,8 @@ def _resolve(store: TraceStore, meta: dict, jobs: Sequence[JobSpec],
     fingerprint)``.  ``settle(missing specs)``, called only if some are,
     returns one ``(profile, reporter, seconds)`` per miss, to be stored.
     """
-    keys = {job.spec: TraceStore.result_key(meta["digest"],
-                                            analysis_fingerprint(job.spec))
+    keys = {job.spec: store.result_key(meta["digest"],
+                                       analysis_fingerprint(job.spec))
             for job in jobs}
     records = {spec: store.load_result(key) for spec, key in keys.items()}
     missing = [spec for spec, record in records.items() if record is None]
@@ -304,14 +306,16 @@ def _run_trace(packed) -> List[JobResult]:
     it and self-heals, and every missing spec settles together in one
     segment-by-segment pass (:func:`repro.trace.replayer.settle_trace`).
     """
-    root, name, scale, jobs, backend = packed
+    root, name, scale, jobs = packed
+    from repro.trace.replayer import settle_trace
+    from repro.trace.store import StoreCorruptionError, TraceStore, module_digest
     from repro.workloads import ALL
 
     store = TraceStore(root)
     digest = module_digest(ALL[name], scale)
     path = store.trace_path(ALL[name], scale, digest)
     open_trace = functools.partial(store.get_or_record, ALL[name], scale,
-                                   backend=backend, digest=digest)
+                                   digest=digest)
     try:
         meta, reader = store.read_tail_meta(path), None
     except (OSError, StoreCorruptionError):  # absent, or quarantined
@@ -332,7 +336,6 @@ def run_batch(
     jobs: Sequence[JobSpec],
     processes: int = 1,
     store: Union[TraceStore, str, None] = None,
-    backend: str = "compiled",
 ) -> List[JobResult]:
     """Execute a batch of jobs; results come back in job order.
 
@@ -341,10 +344,7 @@ def run_batch(
     ``store`` may be a :class:`TraceStore` or a directory path: each
     group then runs through the trace and result cache
     (:func:`_run_trace`).  With no store each group runs inline
-    (:func:`_run_workload`) and nothing is recorded.  ``backend``
-    selects the VM backend of the inline runs and of recording missing
-    traces; both are bit-identical across backends
-    (``tests/vm/test_backends.py``).
+    (:func:`_run_workload`) and nothing is recorded.
     """
     jobs = list(jobs)
     if not jobs:
@@ -360,11 +360,13 @@ def run_batch(
             raise KeyError(f"unknown workload {job.workload!r}")
         groups.setdefault((job.workload, job.scale), []).append(index)
 
-    tasks = [(name, scale, tuple(jobs[i] for i in indices), backend)
+    tasks = [(name, scale, tuple(jobs[i] for i in indices))
              for (name, scale), indices in groups.items()]
     if store is None:
         task, run = WORKLOAD_TASK, _run_workload
     else:
+        from repro.trace.store import TraceStore
+
         root = str((store if isinstance(store, TraceStore) else TraceStore(store)).root)
         tasks = [(root, *packed) for packed in tasks]
         task, run = TRACE_TASK, _run_trace

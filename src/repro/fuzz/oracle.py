@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -184,10 +184,6 @@ class CaseOutcome:
     detail: str = ""
     cells: List[CellResult] = field(default_factory=list)
     elapsed: float = 0.0
-
-    @property
-    def is_find(self) -> bool:
-        return self.outcome in (OUTCOME_DIVERGENCE, OUTCOME_CRASH)
 
 
 class Oracle:
@@ -491,11 +487,3 @@ def compare_observations(
             return (f"handler calls not monotone across elision tiers: "
                     f"{tiers}")
     return ""
-
-
-def default_params(case_seed: int, events: Optional[int] = None) -> GenParams:
-    """Convenience used by CLIs/tests: the standard sampled vector."""
-    params = sample_params(case_seed)
-    if events is not None:
-        params = replace(params, events=events)
-    return params

@@ -22,9 +22,8 @@ EXPERIMENTS = ("fig3", "fig4", "fig5", "tab3", "tab4", "sanitizers")
 FIGURES = {"fig3": figure3, "fig4": figure4, "fig5": figure5}
 
 
-def run_experiment(name: str, scale: int, verbose: bool, fmt: str = "text",
-                   jobs: int = 1, trace_cache=None, server=None,
-                   bench=None, backend: str = "compiled") -> str:
+def run_experiment(name: str, scale: int, fmt: str = "text", jobs: int = 1,
+                   trace_cache=None, server=None, bench=None) -> str:
     """Regenerate one experiment; optionally collect a BENCH record.
 
     ``bench``, when a dict, is filled with the machine-readable record
@@ -35,13 +34,12 @@ def run_experiment(name: str, scale: int, verbose: bool, fmt: str = "text",
 
     started = time.perf_counter()
     if name in FIGURES:
-        data = FIGURES[name](scale, verbose, jobs=jobs, trace_cache=trace_cache,
-                             server=server, backend=backend)
+        data = FIGURES[name](scale, jobs=jobs, trace_cache=trace_cache,
+                             server=server)
         if bench is not None:
             bench.update(
                 experiment=name,
                 scale=scale,
-                backend=backend,
                 jobs=jobs,
                 trace_cache=str(trace_cache) if trace_cache else None,
                 server=server,
@@ -100,14 +98,8 @@ def main(argv=None) -> int:
     parser.add_argument("experiment", choices=EXPERIMENTS + ("all",))
     parser.add_argument("--scale", type=_positive_int, default=1,
                         help="workload size multiplier (default 1)")
-    parser.add_argument("--verbose", action="store_true")
     parser.add_argument("--format", choices=("text", "json", "csv", "svg"),
                         default="text", help="output format (csv/svg: figures only)")
-    parser.add_argument("--backend", choices=("compiled", "reference"),
-                        default="compiled",
-                        help="VM dispatch strategy for figure runs "
-                             "(docs/SUBSTRATE.md); both backends are "
-                             "bit-identical, so this only changes wall-clock")
     parser.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                         help="worker processes for figures, one workload "
                              "per task (see docs/TRACING.md)")
@@ -127,10 +119,9 @@ def main(argv=None) -> int:
     for name in names:
         started = time.time()
         bench = {} if args.json_out else None
-        print(run_experiment(name, args.scale, args.verbose, args.format,
-                             jobs=args.jobs, trace_cache=args.trace_cache,
-                             server=args.server, bench=bench,
-                             backend=args.backend))
+        print(run_experiment(name, args.scale, args.format, jobs=args.jobs,
+                             trace_cache=args.trace_cache, server=args.server,
+                             bench=bench))
         if bench:
             out_dir = Path(args.json_out)
             out_dir.mkdir(parents=True, exist_ok=True)

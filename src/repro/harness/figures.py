@@ -46,8 +46,8 @@ class FigureData:
         return "\n".join(lines)
 
 
-def _run_jobs(names, series, scale: int, jobs: int, trace_cache, server,
-              backend: str) -> dict:
+def _run_jobs(names, series, scale: int, jobs: int, trace_cache,
+              server) -> dict:
     """Run every ``(spec, label)`` of ``series`` on every workload of
     ``names``; results by ``(workload, label)``.
 
@@ -62,7 +62,7 @@ def _run_jobs(names, series, scale: int, jobs: int, trace_cache, server,
     instead of aborting the whole figure run.
     """
     # Imported per call, so importing the harness does not load the
-    # batch executor and the trace package.
+    # batch executor.
     from repro.exec import JobSpec, run_batch
 
     job_specs = [JobSpec(workload, spec, label, scale)
@@ -72,27 +72,19 @@ def _run_jobs(names, series, scale: int, jobs: int, trace_cache, server,
 
         results = run_jobs(server, job_specs, store=trace_cache)
     else:
-        results = run_batch(job_specs, processes=jobs, store=trace_cache,
-                            backend=backend)
+        results = run_batch(job_specs, processes=jobs, store=trace_cache)
     return {(r.workload, r.label): r for r in results}
 
 
-def figure3(scale: int = 1, verbose: bool = False, jobs: int = 1,
-            trace_cache=None, server=None,
-            backend: str = "compiled") -> FigureData:
-    """LLVM MSan vs ALDA MSan across the 20 bug-free workloads.
-
-    ``backend`` selects the VM dispatch strategy (see
-    :class:`repro.vm.Interpreter`) of the runs and of recording any
-    missing traces; replay itself decodes recorded traces and is
-    backend-independent.
-    """
+def figure3(scale: int = 1, jobs: int = 1, trace_cache=None,
+            server=None) -> FigureData:
+    """LLVM MSan vs ALDA MSan across the 20 bug-free workloads."""
     data = FigureData("Figure 3: LLVM MSan vs ALDA MSan (normalized overhead)",
                       series=["LLVM", "ALDAcc"])
     memory_ratios = []
     names = list(fig3_workloads())
     by = _run_jobs(names, (("msan.handtuned", "LLVM"), ("msan.alda", "ALDAcc")),
-                   scale, jobs, trace_cache, server, backend)
+                   scale, jobs, trace_cache, server)
     for name in names:
         llvm, alda = by[(name, "LLVM")], by[(name, "ALDAcc")]
         data.add(name, "LLVM", llvm.overhead)
@@ -101,8 +93,6 @@ def figure3(scale: int = 1, verbose: bool = False, jobs: int = 1,
             (alda.metadata_bytes or 1) / (llvm.metadata_bytes or 1)
         )
         data.bench.extend([llvm.to_dict(), alda.to_dict()])
-        if verbose:
-            print(f"  {name}: LLVM {llvm.overhead:.2f}x  ALDAcc {alda.overhead:.2f}x")
     data.summary["avg_llvm"] = geomean(data.series_values("LLVM"))
     data.summary["avg_aldacc"] = geomean(data.series_values("ALDAcc"))
     # Paper: "we measured the memory overhead ... roughly equivalent
@@ -111,9 +101,8 @@ def figure3(scale: int = 1, verbose: bool = False, jobs: int = 1,
     return data
 
 
-def figure4(scale: int = 1, verbose: bool = False, jobs: int = 1,
-            trace_cache=None, server=None,
-            backend: str = "compiled") -> FigureData:
+def figure4(scale: int = 1, jobs: int = 1, trace_cache=None,
+            server=None) -> FigureData:
     """Hand-tuned Eraser vs ALDAcc-full vs ALDAcc-ds-only on Splash2."""
     data = FigureData(
         "Figure 4: Eraser on Splash2 (normalized overhead)",
@@ -123,7 +112,7 @@ def figure4(scale: int = 1, verbose: bool = False, jobs: int = 1,
     names = list(fig4_workloads())
     series = (("eraser.handtuned", "Hand-Tuned"), ("eraser.full", "ALDAcc-full"),
               ("eraser.ds_only", "ALDAcc-ds-only"))
-    by = _run_jobs(names, series, scale, jobs, trace_cache, server, backend)
+    by = _run_jobs(names, series, scale, jobs, trace_cache, server)
     for name in names:
         hand = by[(name, "Hand-Tuned")]
         alda = by[(name, "ALDAcc-full")]
@@ -135,9 +124,6 @@ def figure4(scale: int = 1, verbose: bool = False, jobs: int = 1,
             (alda.metadata_bytes or 1) / (hand.metadata_bytes or 1)
         )
         data.bench.extend([hand.to_dict(), alda.to_dict(), ablate.to_dict()])
-        if verbose:
-            print(f"  {name}: hand {hand.overhead:.1f}x  full {alda.overhead:.1f}x  "
-                  f"ds-only {ablate.overhead:.1f}x")
     data.summary["avg_hand_tuned"] = geomean(data.series_values("Hand-Tuned"))
     data.summary["avg_aldacc_full"] = geomean(data.series_values("ALDAcc-full"))
     data.summary["avg_ds_only"] = geomean(data.series_values("ALDAcc-ds-only"))
@@ -161,9 +147,8 @@ _FIG5_SPECS = {
 }
 
 
-def figure5(scale: int = 1, verbose: bool = False, jobs: int = 1,
-            trace_cache=None, server=None,
-            backend: str = "compiled") -> FigureData:
+def figure5(scale: int = 1, jobs: int = 1, trace_cache=None,
+            server=None) -> FigureData:
     """Four analyses run individually vs combined into one (Figure 5)."""
     series = list(_FIG5_SPECS) + ["sum_individual", "combined"]
     data = FigureData("Figure 5: combined analysis (normalized overhead)", series)
@@ -171,7 +156,7 @@ def figure5(scale: int = 1, verbose: bool = False, jobs: int = 1,
     names = list(fig5_workloads())
     runs = [(spec, label) for label, spec in _FIG5_SPECS.items()]
     runs.append(("fig5.combined", "combined"))
-    by = _run_jobs(names, runs, scale, jobs, trace_cache, server, backend)
+    by = _run_jobs(names, runs, scale, jobs, trace_cache, server)
     for name in names:
         total = 0.0
         for analysis_name in _FIG5_SPECS:
@@ -184,7 +169,5 @@ def figure5(scale: int = 1, verbose: bool = False, jobs: int = 1,
         data.add(name, "combined", combined_result.overhead)
         data.bench.append(combined_result.to_dict())
         speedups.append(1.0 - combined_result.overhead / total)
-        if verbose:
-            print(f"  {name}: sum {total:.1f}x  combined {combined_result.overhead:.1f}x")
     data.summary["avg_combined_speedup"] = sum(speedups) / len(speedups)
     return data

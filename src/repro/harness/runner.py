@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Union
 
+from repro.vm.events import materialize
 from repro.vm.interpreter import Interpreter
 from repro.vm.profile import Profile
 from repro.vm.reporting import Report
@@ -75,10 +76,7 @@ def run_instrumented(
     ``elide`` forces instrumentation elision on/off for every attached
     compiled analysis (None: each analysis's ``CompileOptions`` decides).
     """
-    # Imported here: the trace package is not needed to import the harness.
-    from repro.trace.replayer import _materialize
-
-    attachables = [_materialize(source) for source in analyses]
+    attachables = [materialize(source) for source in analyses]
     module = workload.make_module(scale)
     vm = Interpreter(
         module,

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Tuple
 
 from repro import faultline
-from repro.trace.replayer import ReplayVM, _materialize, decode
+from repro.trace.replayer import ReplayVM, decode
+from repro.vm.events import materialize
 
 #: dotted task path for PersistentWorkerPool submission
 DECODE_SHARD_TASK = "repro.partition.shard:decode_shard"
@@ -71,7 +72,7 @@ def hooked_kinds(
     vm = ReplayVM()
     from repro.exec.pool import build_analysis
 
-    attachables = [_materialize(build_analysis(spec)) for spec in specs]
+    attachables = [materialize(build_analysis(spec)) for spec in specs]
     vm.track_shadow = any(a.needs_shadow for a in attachables)
     for attachable in attachables:
         attachable.attach(vm)

@@ -18,7 +18,6 @@ import sys
 
 
 def _serve(argv) -> int:
-    from repro.serve.config import ResilienceConfig
     from repro.serve.server import ServeConfig, run_server
 
     parser = argparse.ArgumentParser(
@@ -31,15 +30,9 @@ def _serve(argv) -> int:
     parser.add_argument("--workers", type=int, default=2,
                         help="warm replay worker processes (default 2; "
                              "0 replays inline in the server process)")
-    parser.add_argument("--queue", type=int, default=None, metavar="K",
-                        help="admission capacity before BUSY "
-                             "(default: 4 per worker)")
     parser.add_argument("--store", default=None, metavar="DIR",
                         help="trace/result cache directory "
                              "(default: private temp dir)")
-    parser.add_argument("--read-timeout", type=float, default=10.0)
-    parser.add_argument("--request-timeout", type=float, default=120.0)
-    parser.add_argument("--drain-grace", type=float, default=15.0)
     parser.add_argument("--partition-shards", type=int, default=1, metavar="N",
                         help="shard big-trace replays across up to N decode "
                              "workers when the server is idle "
@@ -48,44 +41,15 @@ def _serve(argv) -> int:
                         metavar="R",
                         help="minimum recorded trace records before a replay "
                              "is partitioned (default 50000)")
-    defaults = ResilienceConfig()
-    parser.add_argument("--hang-timeout", type=float,
-                        default=defaults.hang_timeout, metavar="SEC",
-                        help="per-job watchdog deadline before a worker is "
-                             f"killed (default {defaults.hang_timeout}; "
-                             "0 disables)")
-    parser.add_argument("--breaker-threshold", type=int,
-                        default=defaults.breaker_threshold, metavar="N",
-                        help="consecutive worker failures before dispatch "
-                             "falls back to inline replay "
-                             f"(default {defaults.breaker_threshold})")
-    parser.add_argument("--breaker-reset", type=float,
-                        default=defaults.breaker_reset, metavar="SEC",
-                        help="seconds before an open breaker re-probes the "
-                             f"pool (default {defaults.breaker_reset})")
-    parser.add_argument("--no-inline-fallback", action="store_true",
-                        help="fail requests instead of replaying inline "
-                             "when the worker pool is unhealthy")
     args = parser.parse_args(argv)
 
-    resilience = ResilienceConfig(
-        hang_timeout=args.hang_timeout if args.hang_timeout else None,
-        breaker_threshold=args.breaker_threshold,
-        breaker_reset=args.breaker_reset,
-        inline_fallback=not args.no_inline_fallback,
-    )
     config = ServeConfig(
         host=args.host,
         port=args.port,
         workers=args.workers,
-        queue_capacity=args.queue,
         store_root=args.store,
-        read_timeout=args.read_timeout,
-        request_timeout=args.request_timeout,
-        drain_grace=args.drain_grace,
         partition_shards=args.partition_shards,
         partition_min_records=args.partition_min_records,
-        resilience=resilience,
     )
     try:
         asyncio.run(run_server(config))

@@ -34,6 +34,10 @@ from repro.serve import protocol
 from repro.serve.config import ResilienceConfig
 from repro.serve.resilience import CircuitBreaker, RetryPolicy
 
+#: ERROR codes worth retrying on a fresh attempt (transient server-side
+#: failures; transport errors and BUSY always retry)
+RETRY_CODES = ("WORKER_CRASH",)
+
 
 class ServeError(RuntimeError):
     """Base class for daemon-reported failures."""
@@ -153,7 +157,7 @@ class ServeClient:
         if isinstance(exc, (OSError, protocol.ProtocolError)):
             return "transport_retried"
         if (isinstance(exc, RequestFailed)
-                and exc.code in self.resilience.retry_codes):
+                and exc.code in RETRY_CODES):
             return "code_retried"
         return None
 

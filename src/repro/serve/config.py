@@ -4,20 +4,20 @@ Before this module, retry/backoff/timeout constants were scattered
 magic numbers (client retries, worker deadlines, breaker thresholds).
 :class:`ResilienceConfig` is the single source of truth: the client's
 retry policy and circuit breaker, the worker watchdog, and the
-server's degraded-mode fallback all read from it.  The server embeds
+scheduler's breaker all read from it.  The server embeds
 its copy in ``serve stats`` (``config.resilience``) so a live
 deployment's failure posture is inspectable.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Every retry/backoff/watchdog/breaker knob the runtime layers use."""
+    """The retry/backoff/watchdog/breaker knobs the runtime layers use."""
 
     # -- client retry policy ------------------------------------------
     #: total attempts per logical request (1 = no retries)
@@ -33,9 +33,6 @@ class ResilienceConfig:
     #: cumulative sleep budget per logical request, seconds — retries
     #: stop when the budget is spent even if attempts remain
     retry_budget: float = 15.0
-    #: ERROR codes worth retrying on a fresh attempt (transient
-    #: server-side failures; transport errors and BUSY always retry)
-    retry_codes: Tuple[str, ...] = ("WORKER_CRASH",)
 
     # -- circuit breaker ----------------------------------------------
     #: consecutive failures before the breaker opens
@@ -52,19 +49,3 @@ class ResilienceConfig:
     #: seconds between reaper sweeps (respawn dead-idle workers);
     #: None disables the reaper thread
     reaper_interval: Optional[float] = 2.0
-    #: sliding window, seconds, for the crash-respawn rate limit
-    respawn_window: float = 30.0
-    #: respawns allowed inside the window before the pool raises a
-    #: typed ``WorkerRespawnStorm`` instead of replacing the worker;
-    #: None disables the cap (exponential backoff still applies)
-    max_respawns_per_window: Optional[int] = 64
-
-    # -- degraded mode -------------------------------------------------
-    #: run replays inline in the server process when the worker pool is
-    #: unavailable (dead, breaker open, or configured with 0 workers)
-    inline_fallback: bool = True
-
-    def to_dict(self) -> dict:
-        payload = asdict(self)
-        payload["retry_codes"] = list(self.retry_codes)
-        return payload

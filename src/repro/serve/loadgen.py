@@ -1,6 +1,6 @@
 """Load generator: one request storm against one daemon.
 
-Replays a request mix at a target rate from concurrent
+Replays a request mix from concurrent
 :class:`~repro.serve.client.ServeClient` threads and reports throughput,
 latency percentiles (overall / cache-hit / cold replay), the typed
 error breakdown and the trace uploads the clients made — the
@@ -11,10 +11,9 @@ amortization story of a resident daemon in one JSON record::
         --concurrency 4 --out benchmarks/artifacts/serve_loadgen.json
 
 Clients retry transient failures (BUSY, resets, worker crashes) through
-the resilience layer (``ResilienceConfig()``) by default, so ``busy``
-counts *exhausted* retry budgets, not transient rejections; pass
-``--no-retry`` for the raw fail-fast view, and ``--seed`` to make retry
-jitter reproducible.
+the resilience layer (``ResilienceConfig()``), so ``busy`` counts
+*exhausted* retry budgets, not transient rejections; pass ``--seed`` to
+make retry jitter reproducible.
 
 The same claim → submit → classify loop is the chaos storm
 (:mod:`repro.serve.chaos`): given fault-free reference records it
@@ -33,7 +32,6 @@ import json
 import tempfile
 import threading
 import time
-from dataclasses import replace
 from typing import Dict, List, Optional
 
 from repro.serve.client import (
@@ -87,8 +85,8 @@ class LoadGen:
 
     def __init__(self, server: str, specs: List[str], digest: str,
                  trace_bytes: bytes, requests: int, concurrency: int,
-                 rate: Optional[float] = None, timeout: float = 300.0,
-                 resilience: Optional[ResilienceConfig] = ResilienceConfig(),
+                 timeout: float = 300.0,
+                 resilience: ResilienceConfig = ResilienceConfig(),
                  seed: Optional[int] = None,
                  reference: Optional[Dict[str, dict]] = None) -> None:
         self.server = server
@@ -97,7 +95,6 @@ class LoadGen:
         self.trace_bytes = trace_bytes
         self.requests = requests
         self.concurrency = max(1, concurrency)
-        self.rate = rate
         self.timeout = timeout
         self.resilience = resilience
         self.seed = seed
@@ -155,7 +152,7 @@ class LoadGen:
             else:
                 self.uncached_ms.append(elapsed_ms)
 
-    def _worker(self, worker_index: int, started_at: float) -> None:
+    def _worker(self, worker_index: int) -> None:
         retry_seed = None if self.seed is None else self.seed + worker_index
         client = ServeClient(self.server, resilience=self.resilience,
                              timeout=self.timeout, retry_seed=retry_seed)
@@ -164,11 +161,6 @@ class LoadGen:
                 index = self._claim()
                 if index is None:
                     break
-                if self.rate:
-                    target = started_at + index / self.rate
-                    delay = target - time.perf_counter()
-                    if delay > 0:
-                        time.sleep(delay)
                 spec = self.specs[index % len(self.specs)]
                 begin = time.perf_counter()
                 try:
@@ -200,7 +192,7 @@ class LoadGen:
     def run(self) -> dict:
         started_at = time.perf_counter()
         threads = [
-            threading.Thread(target=self._worker, args=(i, started_at),
+            threading.Thread(target=self._worker, args=(i,),
                              name=f"loadgen-{i}", daemon=True)
             for i in range(self.concurrency)
         ]
@@ -217,8 +209,6 @@ class LoadGen:
                 "trace_digest": self.digest,
                 "requests": self.requests,
                 "concurrency": self.concurrency,
-                "rate": self.rate,
-                "retry": self.resilience is not None,
                 "seed": self.seed,
             },
             "wall_seconds": wall,
@@ -334,15 +324,6 @@ def main(argv=None) -> int:
     parser.add_argument("--scale", type=int, default=1)
     parser.add_argument("--requests", type=int, default=100)
     parser.add_argument("--concurrency", type=int, default=4)
-    parser.add_argument("--rate", type=float, default=None,
-                        help="target request rate in req/s (default: unpaced)")
-    parser.add_argument("--timeout", type=float, default=300.0)
-    parser.add_argument("--no-retry", action="store_true",
-                        help="fail fast: disable the retry/backoff layer")
-    parser.add_argument("--max-attempts", type=int, default=None,
-                        help="retry attempts per request (default: 5)")
-    parser.add_argument("--retry-budget", type=float, default=None,
-                        help="cumulative backoff sleep budget in seconds")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed retry jitter for reproducible schedules")
     parser.add_argument("--out", default=None, metavar="PATH",
@@ -356,23 +337,13 @@ def main(argv=None) -> int:
         parser.error(f"unknown workload {args.workload!r}")
     specs = args.spec or ["eraser.full"]
 
-    if args.no_retry:
-        resilience = None
-    else:
-        resilience = ResilienceConfig()
-        if args.max_attempts is not None:
-            resilience = replace(resilience, max_attempts=args.max_attempts)
-        if args.retry_budget is not None:
-            resilience = replace(resilience, retry_budget=args.retry_budget)
-
     with tempfile.TemporaryDirectory(prefix="alda-loadgen-") as tmp:
         store = TraceStore(tmp)
         workload = ALL[args.workload]
         reader = store.get_or_record(workload, args.scale)
         trace_bytes = store.trace_path(workload, args.scale).read_bytes()
         gen = LoadGen(args.server, specs, reader.digest, trace_bytes,
-                      args.requests, args.concurrency, args.rate,
-                      args.timeout, resilience=resilience, seed=args.seed)
+                      args.requests, args.concurrency, seed=args.seed)
         report = gen.run()
     report["config"]["workload"] = args.workload
     report["config"]["scale"] = args.scale

@@ -244,7 +244,3 @@ def recv_frame(sock: socket.socket,
         raise FrameTooLarge(length, max_frame)
     body = _recv_exactly(sock, length)
     return body[0], body[1:]
-
-
-def send_frame(sock: socket.socket, frame_type: int, body: bytes = b"") -> None:
-    sock.sendall(encode_frame(frame_type, body))

@@ -266,14 +266,6 @@ class ReplayScheduler:
                     raise
                 self.breaker.record_success()
                 return record
-            if (self.pool is not None and self.pool.size > 0
-                    and not self.resilience.inline_fallback):
-                # Breaker open and fallback disabled: fail fast with the
-                # crash type clients already retry on.
-                raise WorkerCrashError(
-                    "worker pool circuit breaker open (inline fallback "
-                    "disabled)"
-                )
             self.metrics.counter("inline_replays").inc()
             self.metrics.gauge("degraded").set(1)
             return await loop.run_in_executor(

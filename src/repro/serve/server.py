@@ -45,7 +45,7 @@ import socket as socketlib
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from repro import faultline
@@ -58,6 +58,11 @@ from repro.trace.store import StoreCorruptionError, TraceStore
 from repro.serve import protocol
 from repro.serve.config import ResilienceConfig
 from repro.serve.scheduler import BusyError, ReplayScheduler
+
+#: per-request replay deadline, seconds (a client may ask for less)
+REQUEST_TIMEOUT = 120.0
+#: seconds a graceful shutdown waits for in-flight replays
+DRAIN_GRACE = 15.0
 
 
 @dataclass
@@ -74,11 +79,7 @@ class ServeConfig:
     store_root: Optional[str] = None
     #: per-frame read deadline (slow-loris defense)
     read_timeout: float = 10.0
-    #: default per-request replay deadline (client may ask for less)
-    request_timeout: float = 120.0
     max_frame: int = protocol.MAX_FRAME_BYTES
-    #: how long SIGTERM waits for in-flight replays
-    drain_grace: float = 15.0
     #: shard big-trace replays across the worker pool when the server is
     #: otherwise idle (docs/PARTITION.md); 1 disables partitioned replay
     partition_shards: int = 1
@@ -123,8 +124,6 @@ class AnalysisServer:
                 heartbeat_interval=resilience.heartbeat_interval,
                 hang_timeout=resilience.hang_timeout,
                 reaper_interval=resilience.reaper_interval,
-                respawn_window=resilience.respawn_window,
-                max_respawns_per_window=resilience.max_respawns_per_window,
             )
         self.scheduler = ReplayScheduler(
             self.pool, self.config.resolved_capacity(), self.metrics,
@@ -170,7 +169,7 @@ class AnalysisServer:
             self._server.close()
             await self._server.wait_closed()
         if self.scheduler is not None:
-            await self.scheduler.drain(self.config.drain_grace)
+            await self.scheduler.drain(DRAIN_GRACE)
             self.scheduler.close()
         for conn_writer in list(self._connections):
             with contextlib.suppress(Exception):
@@ -366,7 +365,7 @@ class AnalysisServer:
             self._send_busy(writer, exc.queue_depth, exc.capacity)
             return
 
-        timeout = self.config.request_timeout
+        timeout = REQUEST_TIMEOUT
         if request.timeout is not None:
             timeout = min(timeout, request.timeout)
         try:
@@ -484,11 +483,11 @@ class AnalysisServer:
             "workers": self.config.workers,
             "queue_capacity": self.config.resolved_capacity(),
             "read_timeout": self.config.read_timeout,
-            "request_timeout": self.config.request_timeout,
+            "request_timeout": REQUEST_TIMEOUT,
             "store_root": str(self.store.root),
             "partition_shards": self.config.partition_shards,
             "partition_min_records": self.config.partition_min_records,
-            "resilience": self.config.resilience.to_dict(),
+            "resilience": asdict(self.config.resilience),
         }
         return snap
 

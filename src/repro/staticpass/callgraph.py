@@ -84,13 +84,6 @@ class CallGraph:
             return True
         return fname in self.successors(fname)
 
-    def spawned_functions(self) -> Set[str]:
-        """Every function started as a thread somewhere in the module."""
-        spawned: Set[str] = set()
-        for targets in self.spawn_targets.values():
-            spawned |= targets
-        return spawned
-
 
 def build_call_graph(module: Module) -> CallGraph:
     graph = CallGraph(module)

@@ -40,7 +40,7 @@ import time
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.vm.cache import CacheConfig, CacheSim
-from repro.vm.events import Hooks, bind_site
+from repro.vm.events import Hooks, bind_site, materialize
 from repro.vm.interpreter import _SHADOW_PROP_CYCLES
 from repro.vm.profile import Profile
 from repro.vm.reporting import Reporter
@@ -103,16 +103,6 @@ class ReplayVM:
         if stack:
             entries.extend(reversed(stack))
         return tuple(entries[:limit])
-
-
-def _materialize(source):
-    """The attachable behind an analysis source (an attachable, its
-    class or a factory); shared with :mod:`repro.harness.runner`."""
-    if isinstance(source, type):
-        return source()  # a class: instantiate fresh per run
-    if hasattr(source, "attach"):
-        return source
-    return source()  # a factory callable
 
 
 def _decode_tail(buf: bytes, pos: int, table: List[str]) -> Tuple[tuple, int]:
@@ -338,7 +328,7 @@ class ReplayState:
     def __init__(self, analyses: Sequence[object],
                  cache_config: Optional[CacheConfig] = None) -> None:
         vm = self.vm = ReplayVM(cache_config)
-        attachables = [_materialize(source) for source in analyses]
+        attachables = [materialize(source) for source in analyses]
         vm.track_shadow = any(a.needs_shadow for a in attachables)
         for attachable in attachables:
             attachable.attach(vm)

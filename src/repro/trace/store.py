@@ -265,17 +265,13 @@ class TraceStore:
         workload: Workload,
         scale: int = 1,
         segment_target_bytes: int = DEFAULT_SEGMENT_TARGET,
-        backend: str = "compiled",
         digest: Optional[str] = None,
     ) -> TraceReader:
         """Open the cached trace for (workload, scale), recording on miss.
 
         ``segment_target_bytes`` sets where new recordings cut their
         segments; it moves no payload byte and no digest, so it is not
-        part of the cache key.  ``backend`` picks the recording VM
-        backend; all backends produce byte-identical traces
-        (``tests/vm/test_backends.py``), so it never affects the cache
-        key either.
+        part of the cache key.
 
         A cached trace that fails its integrity check — including one
         in an unsupported container version, such as a version-1 file
@@ -297,7 +293,6 @@ class TraceStore:
             lambda handle: record_workload(
                 workload, scale, handle, meta={"module_digest": digest},
                 segment_target_bytes=segment_target_bytes,
-                backend=backend,
             ),
         )
         return self._read_trace_verified(path)

@@ -192,6 +192,16 @@ class EventContext:
             self._shadow_regs[self._result_reg] = value
 
 
+def materialize(source):
+    """The attachable behind an analysis source (an attachable, its
+    class or a factory); shared by inline runs and trace replay."""
+    if isinstance(source, type):
+        return source()  # a class: instantiate fresh per run
+    if hasattr(source, "attach"):
+        return source
+    return source()  # a factory callable
+
+
 def bind_site(vm, callbacks, kind: str, operand_regs: Tuple[Optional[str], ...],
               result_reg: Optional[str], sizes: Tuple[int, ...],
               result_size: int, loc: str):

@@ -292,12 +292,6 @@ def _ssl_externs():
     return SSLLibrary().externs()
 
 
-def _ssl_zlib_externs():
-    externs = ZLibrary().externs()
-    externs.update(SSLLibrary().externs())
-    return externs
-
-
 WORKLOADS = {
     "memcached": Workload(
         "memcached", "real", build_memcached, threads=4,

@@ -5,7 +5,6 @@ import tempfile
 
 import pytest
 
-from repro.exec import pool as pool_mod
 from repro.exec import (
     ANALYSIS_SPECS,
     JobSpec,
@@ -18,6 +17,7 @@ from repro.baselines import HandTunedMSan
 from repro.harness.runner import measure_overhead
 from repro.trace import TraceReplayer, TraceStore
 from repro.trace import recorder as recorder_mod
+from repro.trace import replayer as replayer_mod
 from repro.trace import store as store_mod
 from repro.trace.replayer import settle_trace
 from repro.workloads import ALL
@@ -133,7 +133,7 @@ def settle_calls(monkeypatch):
         calls.append(len(analysis_sets))
         return settle_trace(trace, analysis_sets, cache_config)
 
-    monkeypatch.setattr(pool_mod, "settle_trace", spy)
+    monkeypatch.setattr(replayer_mod, "settle_trace", spy)
     return calls
 
 

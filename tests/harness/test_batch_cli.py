@@ -13,10 +13,9 @@ def stub_figure(monkeypatch):
     """Replace fig4 with a tiny figure so CLI plumbing tests stay fast."""
     calls = {}
 
-    def fake_figure4(scale=1, verbose=False, jobs=1, trace_cache=None,
-                     server=None, backend="compiled"):
+    def fake_figure4(scale=1, jobs=1, trace_cache=None, server=None):
         calls.update(scale=scale, jobs=jobs, trace_cache=trace_cache,
-                     server=server, backend=backend)
+                     server=server)
         data = FigureData("stub", series=["A"])
         data.add("w1", "A", 2.0)
         data.summary["avg"] = 2.0
@@ -66,17 +65,12 @@ def test_partition_flag_is_unrecognized(stub_figure, capsys):
     assert "unrecognized arguments: --partition 2" in capsys.readouterr().err
 
 
-def test_backend_flag_forwarded(stub_figure):
-    assert cli.main(["fig4", "--backend", "reference"]) == 0
-    assert stub_figure["backend"] == "reference"
-
-
 @pytest.mark.parametrize("argv", [
     ["--scale", "0"],
     ["--scale", "-1"],
     ["--jobs", "0"],
     ["--format", "xml"],
-    ["--backend", "bytecode"],
+    ["--jobs", "two"],
 ])
 def test_bad_arguments_are_usage_errors(stub_figure, capsys, argv):
     with pytest.raises(SystemExit) as excinfo:
@@ -91,7 +85,6 @@ def test_defaults_stay_inline(stub_figure):
     assert stub_figure["jobs"] == 1
     assert stub_figure["trace_cache"] is None
     assert stub_figure["server"] is None
-    assert stub_figure["backend"] == "compiled"
 
 
 def test_real_figure_batch_cli(tmp_path, capsys):

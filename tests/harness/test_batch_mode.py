@@ -3,6 +3,11 @@ or through the trace cache (record once, settle from it), are
 bit-identical to the in-process inline path (the acceptance bar for
 ``--jobs`` and ``--trace-cache``)."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.harness.figures import figure4
@@ -50,3 +55,22 @@ def test_pool_without_trace_cache_matches_inline(inline_fig4):
     assert result.render() == inline_fig4.render()
     assert len(result.bench) == 12 * 3
     assert not any(record["cached"] for record in result.bench)
+
+
+def test_inline_figure_loads_no_trace_package():
+    """Without a trace cache nothing is recorded or decoded, so a fresh
+    process running ``figure3`` inline never imports ``repro.trace``."""
+    script = textwrap.dedent("""
+        import sys
+        import repro.harness.figures as figures
+        from repro.workloads import ALL
+
+        figures.fig3_workloads = lambda: {"bzip2": ALL["bzip2"]}
+        assert list(figures.figure3().rows) == ["bzip2"]
+        print(sorted(name for name in sys.modules if name.startswith("repro.trace")))
+    """)
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"

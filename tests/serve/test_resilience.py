@@ -325,6 +325,37 @@ def test_stats_snapshot_has_health_block(make_server):
     assert snap["config"]["resilience"]["max_attempts"] >= 1
 
 
+def test_open_breaker_replays_inline_with_a_live_pool(make_server, fft_trace):
+    """With the scheduler's breaker open, a live pool is bypassed and the
+    request is answered inline, number for number."""
+    from repro.exec.pool import build_analysis
+    from repro.trace import TraceReader, TraceReplayer
+
+    digest, blob, plain_cycles = fft_trace
+    profile, reporter = TraceReplayer(TraceReader(blob)).replay(
+        [build_analysis("eraser.full")]
+    )
+    handle = make_server(resilience=ResilienceConfig(breaker_reset=600.0))
+    breaker = handle.server.scheduler.breaker
+    for _ in range(breaker.failure_threshold):
+        breaker.record_failure()
+    assert breaker.state == CircuitBreaker.OPEN
+    with ServeClient(handle.address) as client:
+        response = client.submit("eraser.full", trace_bytes=blob)
+        snap = client.stats()
+    record = response["result"]
+    assert not response["cached"]
+    assert record["trace_digest"] == digest
+    assert record["baseline_cycles"] == plain_cycles
+    assert record["instrumented_cycles"] == profile.cycles
+    assert record["metadata_bytes"] == profile.metadata_bytes
+    assert record["n_reports"] == len(list(reporter))
+    health = snap["health"]
+    assert health["inline_replays"] >= 1
+    assert health["degraded"] is True
+    assert health["pool"]["alive"] == 2
+
+
 def test_render_snapshot_includes_health(make_server):
     from repro.serve.metrics import render_snapshot
 

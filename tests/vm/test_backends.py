@@ -52,24 +52,6 @@ def test_profiles_bit_identical(name):
         assert reference[2] == compiled[2], f"{name}/{spec}: event seq differs"
 
 
-def test_figure3_table_identical_across_backends():
-    from repro.harness.figures import figure3
-
-    reference = figure3(backend="reference")
-    compiled = figure3(backend="compiled")
-    assert reference.rows == compiled.rows
-    assert reference.summary == compiled.summary
-
-
-def test_figure4_table_identical_across_backends():
-    from repro.harness.figures import figure4
-
-    reference = figure4(backend="reference")
-    compiled = figure4(backend="compiled")
-    assert reference.rows == compiled.rows
-    assert reference.summary == compiled.summary
-
-
 def test_recorded_trace_bytes_identical():
     """The recorder wraps cache.access and hooks everything; the compiled
     backend must drive it through the same accesses and events, in the
