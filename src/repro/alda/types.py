@@ -125,14 +125,6 @@ class MapInfo:
         return self.key.sync
 
 
-@dataclass(frozen=True)
-class SetInfo:
-    """A resolved global standalone set declaration (rare but legal)."""
-
-    name: str
-    value: SetValue
-
-
 def resolve_type(name: str, table: Dict[str, AldaType], line: int = 0) -> AldaType:
     try:
         return table[name]

@@ -9,7 +9,8 @@ interpreted and recorded exactly once (via :mod:`repro.trace`); its
 jobs then settle that trace together, one segment at a time, and
 results are cached on disk keyed by (trace digest, analysis
 fingerprint) so repeated invocations are pure cache hits that read only
-the trace's tail meta.
+the trace's tail meta.  With a daemon address each task records its
+trace and sends its analyses to :mod:`repro.serve`.
 """
 
 from repro.exec.pool import (

@@ -4,14 +4,14 @@ The unit of work is a :class:`JobSpec`: one workload, one analysis
 configuration (named by a registry key so jobs pickle cheaply), one
 scale.  :func:`run_batch` groups a batch's jobs by ``(workload,
 scale)`` and runs each group as one task, in process or on a worker
-pool.  Which task depends on whether the batch has a trace store:
+pool.  Which task depends on where the batch's results come from:
 
-* **No store** — :func:`_run_workload` runs the workload plain once,
+* **Nothing** — :func:`_run_workload` runs the workload plain once,
   then instrumented once per distinct spec, exactly as
   :func:`repro.harness.runner.measure_overhead` does.  Nothing is
   recorded or cached.
-* **A store** — :func:`_run_trace` works through the store, one trace
-  per task:
+* **A trace store** — :func:`_run_trace` works through the store, one
+  trace per task:
 
   1. **Meta** — read the trace's tail meta (digest, summary) with two
      seeks and look every distinct spec up in the result cache, keyed
@@ -23,17 +23,28 @@ pool.  Which task depends on whether the batch has a trace store:
      decoded once, fired through each spec's own replay state, and
      dropped, so a task holds one trace's payload and one segment of
      decoded records.
+* **An analysis daemon** — :func:`_run_served` records the trace once
+  (into the store, or a temporary directory), reads its bytes once,
+  and submits each distinct spec digest-first to the daemon
+  (:mod:`repro.serve`), which replays it or answers from its own
+  result cache.
 
 Partitioned replay (:mod:`repro.partition`) is not a batch path: a
 batch parallelizes across workloads, and only the serve daemon shards
 one trace's decode.
 
 Replay is bit-identical to the inline run (see
-:mod:`repro.trace.replayer`), so both tasks return the same results.
+:mod:`repro.trace.replayer`), so every task returns the same results.
 The fingerprint hashes the analysis implementation (generated Python
 for ALDAcc-compiled analyses, class source for hand-tuned baselines),
 so editing an analysis — or a workload, which changes the trace
 digest — invalidates exactly the affected cache entries.
+
+Every replay that fills the result cache — the trace task here, the
+daemon's worker task and its partitioned replay — builds its record
+with :func:`result_record` and writes it with :func:`store_record`;
+:func:`load_record` reads it back and :meth:`JobResult.from_record`
+turns it into a row.
 
 Workers are :class:`repro.exec.workers.PersistentWorkerPool` processes;
 ``build_analysis`` keeps each compiled analysis built at most once per
@@ -43,15 +54,16 @@ the resident analysis daemon (:mod:`repro.serve`).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import inspect
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
 
-# The trace package is imported on the store path only: a batch without
-# a store never records, decodes or caches.
+# The trace and serve packages are imported on their own paths only: an
+# inline batch never records, decodes, caches or connects.
 if TYPE_CHECKING:
     from repro.trace.store import TraceStore
 
@@ -209,6 +221,13 @@ class JobResult:
     wall_seconds: float
     cached: bool = False
 
+    @classmethod
+    def from_record(cls, job: JobSpec, record: dict, cached: bool) -> "JobResult":
+        """The row for ``job`` from its result record."""
+        return cls(workload=job.workload, spec=job.spec,
+                   label=job.label or job.spec, scale=job.scale, cached=cached,
+                   **{name: record[name] for name in _MEASURED})
+
     @property
     def overhead(self) -> float:
         return self.instrumented_cycles / self.baseline_cycles
@@ -229,11 +248,62 @@ class JobResult:
         }
 
 
+#: the fields of a record that a :class:`JobResult` carries
+_MEASURED = ("baseline_cycles", "instrumented_cycles", "metadata_bytes",
+             "n_reports", "wall_seconds")
+#: every field of a result-cache record
+RECORD_FIELDS = ("spec", "trace_digest", "workload", "scale") + _MEASURED
+
+
+# -- result records ------------------------------------------------------
+
+
+def result_record(meta: dict, spec: str, profile, reporter, seconds: float,
+                  **extra) -> dict:
+    """The result-cache record of one replay of the trace whose tail
+    meta is ``meta``; ``extra`` adds fields (``partition_shards``)."""
+    return {
+        "spec": spec,
+        "trace_digest": meta["digest"],
+        "workload": meta.get("workload"),
+        "scale": meta.get("scale"),
+        "baseline_cycles": meta["summary"]["plain_cycles"],
+        "instrumented_cycles": profile.cycles,
+        "metadata_bytes": profile.metadata_bytes,
+        "n_reports": len(list(reporter)),
+        "wall_seconds": seconds,
+        **extra,
+    }
+
+
+def record_key(digest: str, spec: str) -> str:
+    """The result-cache key of ``spec`` replayed over trace ``digest``."""
+    from repro.trace.store import TraceStore
+
+    return TraceStore.result_key(digest, analysis_fingerprint(spec))
+
+
+def store_record(store: TraceStore, record: dict) -> None:
+    """Write ``record`` to the result cache under its own key."""
+    store.store_result(record_key(record["trace_digest"], record["spec"]), record)
+
+
+def load_record(store: TraceStore, key: str) -> Optional[dict]:
+    """The cached record under ``key``, or None.  A record that lacks a
+    field of :data:`RECORD_FIELDS` is a miss: its caller settles the
+    spec again and overwrites it."""
+    record = store.load_result(key)
+    if record is None or not all(name in record for name in RECORD_FIELDS):
+        return None
+    return record
+
+
 # -- per-workload tasks (top level: must pickle) ------------------------
 
 #: dotted task paths for PersistentWorkerPool submission
 WORKLOAD_TASK = "repro.exec.pool:_run_workload"
 TRACE_TASK = "repro.exec.pool:_run_trace"
+SERVED_TASK = "repro.exec.pool:_run_served"
 
 
 def _run_workload(packed) -> List[JobResult]:
@@ -251,14 +321,13 @@ def _run_workload(packed) -> List[JobResult]:
         profile, reporter = runner.run_instrumented(
             workload, [build_analysis(spec)], scale)
         measured[spec] = {
+            "baseline_cycles": baseline.cycles,
             "instrumented_cycles": profile.cycles,
             "metadata_bytes": profile.metadata_bytes,
             "n_reports": len(list(reporter)),
             "wall_seconds": time.perf_counter() - started,
         }
-    return [JobResult(workload=name, spec=job.spec, label=job.label or job.spec,
-                      scale=scale, baseline_cycles=baseline.cycles,
-                      **measured[job.spec])
+    return [JobResult.from_record(job, measured[job.spec], cached=False)
             for job in jobs]
 
 
@@ -270,31 +339,16 @@ def _resolve(store: TraceStore, meta: dict, jobs: Sequence[JobSpec],
     fingerprint)``.  ``settle(missing specs)``, called only if some are,
     returns one ``(profile, reporter, seconds)`` per miss, to be stored.
     """
-    keys = {job.spec: store.result_key(meta["digest"],
-                                       analysis_fingerprint(job.spec))
-            for job in jobs}
-    records = {spec: store.load_result(key) for spec, key in keys.items()}
+    records = {job.spec: load_record(store, record_key(meta["digest"], job.spec))
+               for job in jobs}
     missing = [spec for spec, record in records.items() if record is None]
     settled = settle(missing) if missing else ()
     for spec, (profile, reporter, seconds) in zip(missing, settled):
-        records[spec] = {
-            "workload": jobs[0].workload,
-            "spec": spec,
-            "scale": jobs[0].scale,
-            "instrumented_cycles": profile.cycles,
-            "metadata_bytes": profile.metadata_bytes,
-            "n_reports": len(list(reporter)),
-            "wall_seconds": seconds,
-        }
-        store.store_result(keys[spec], records[spec])
-    measured = ("instrumented_cycles", "metadata_bytes", "n_reports", "wall_seconds")
-    return [
-        JobResult(workload=job.workload, spec=job.spec, label=job.label or job.spec,
-                  scale=job.scale, baseline_cycles=meta["summary"]["plain_cycles"],
-                  cached=job.spec not in missing,
-                  **{name: records[job.spec][name] for name in measured})
-        for job in jobs
-    ]
+        records[spec] = result_record(meta, spec, profile, reporter, seconds)
+        store_record(store, records[spec])
+    return [JobResult.from_record(job, records[job.spec],
+                                  cached=job.spec not in missing)
+            for job in jobs]
 
 
 def _run_trace(packed) -> List[JobResult]:
@@ -329,6 +383,40 @@ def _run_trace(packed) -> List[JobResult]:
     return _resolve(store, meta, jobs, settle)
 
 
+def _run_served(packed) -> List[JobResult]:
+    """Every job of one (workload, scale) on an analysis daemon.
+
+    The trace is recorded once into the store at ``root`` (a temporary
+    directory when it is None) and its bytes read once; each distinct
+    spec is then submitted digest-first, so the bytes cross the wire
+    only if the daemon lacks the trace.  The client retries transient
+    failures (``BUSY``, resets, worker crashes) under the default
+    :class:`repro.serve.config.ResilienceConfig`.
+    """
+    address, root, name, scale, jobs = packed
+    import tempfile
+
+    from repro.serve.client import ServeClient
+    from repro.serve.config import ResilienceConfig
+    from repro.trace.store import TraceStore
+    from repro.workloads import ALL
+
+    with contextlib.ExitStack() as stack:
+        if root is None:
+            root = stack.enter_context(
+                tempfile.TemporaryDirectory(prefix="alda-client-traces-"))
+        store = TraceStore(root)
+        digest = store.get_or_record(ALL[name], scale).digest
+        data = store.trace_path(ALL[name], scale).read_bytes()
+        client = stack.enter_context(
+            ServeClient(address, resilience=ResilienceConfig()))
+        responses = {spec: client.submit_digest_first(spec, digest, data)
+                     for spec in dict.fromkeys(job.spec for job in jobs)}
+    return [JobResult.from_record(job, responses[job.spec]["result"],
+                                  cached=responses[job.spec]["cached"])
+            for job in jobs]
+
+
 # -- batch driver --------------------------------------------------------
 
 
@@ -336,6 +424,7 @@ def run_batch(
     jobs: Sequence[JobSpec],
     processes: int = 1,
     store: Union[TraceStore, str, None] = None,
+    server: Optional[str] = None,
 ) -> List[JobResult]:
     """Execute a batch of jobs; results come back in job order.
 
@@ -343,8 +432,11 @@ def run_batch(
     task, in process or, with ``processes > 1``, on a worker pool.
     ``store`` may be a :class:`TraceStore` or a directory path: each
     group then runs through the trace and result cache
-    (:func:`_run_trace`).  With no store each group runs inline
-    (:func:`_run_workload`) and nothing is recorded.
+    (:func:`_run_trace`).  ``server``, a ``HOST:PORT`` address, sends
+    each group to an analysis daemon instead (:func:`_run_served`),
+    recording its trace into ``store`` when there is one.  With neither
+    each group runs inline (:func:`_run_workload`) and nothing is
+    recorded.
     """
     jobs = list(jobs)
     if not jobs:
@@ -362,14 +454,19 @@ def run_batch(
 
     tasks = [(name, scale, tuple(jobs[i] for i in indices))
              for (name, scale), indices in groups.items()]
-    if store is None:
-        task, run = WORKLOAD_TASK, _run_workload
-    else:
+    root = None
+    if store is not None:
         from repro.trace.store import TraceStore
 
         root = str((store if isinstance(store, TraceStore) else TraceStore(store)).root)
+    if server is not None:
+        tasks = [(server, root, *packed) for packed in tasks]
+        task, run = SERVED_TASK, _run_served
+    elif root is not None:
         tasks = [(root, *packed) for packed in tasks]
         task, run = TRACE_TASK, _run_trace
+    else:
+        task, run = WORKLOAD_TASK, _run_workload
     if processes > 1:
         from repro.exec.workers import PersistentWorkerPool
 

@@ -107,8 +107,9 @@ def main(argv=None) -> int:
                         help="persistent trace/result cache directory: record "
                              "each workload once and replay its analyses")
     parser.add_argument("--server", metavar="HOST:PORT", default=None,
-                        help="execute figure replays on a repro.serve daemon "
-                             "instead of a local pool (see docs/SERVING.md)")
+                        help="replay figure analyses on a repro.serve daemon; "
+                             "--jobs N runs N workloads' clients at once "
+                             "(see docs/SERVING.md)")
     parser.add_argument("--json", metavar="OUT", default=None, dest="json_out",
                         help="also write machine-readable BENCH_<experiment>.json "
                              "records (cycles, overheads, wall-clock) into "

@@ -52,14 +52,10 @@ def _run_jobs(names, series, scale: int, jobs: int, trace_cache,
     ``names``; results by ``(workload, label)``.
 
     :func:`repro.exec.run_batch` runs them in process (``jobs=1``) or on
-    a worker pool, inline or, with ``trace_cache``, through the trace
-    and result cache.  With ``server`` set (a ``HOST:PORT`` string or a
-    :class:`repro.serve.ServeClient`), they execute on a resident
-    analysis daemon instead.  Replay is bit-identical to the inline
-    run, so every way gives the same results.  An address string gets a
-    resilient client (default :class:`repro.serve.ResilienceConfig`):
-    transient BUSY/reset/crash responses are retried with backoff
-    instead of aborting the whole figure run.
+    a worker pool of ``jobs`` processes: inline, through the trace and
+    result cache with ``trace_cache``, or on the analysis daemon at
+    ``server`` (a ``HOST:PORT`` string).  Replay is bit-identical to
+    the inline run, so every way gives the same results.
     """
     # Imported per call, so importing the harness does not load the
     # batch executor.
@@ -67,12 +63,8 @@ def _run_jobs(names, series, scale: int, jobs: int, trace_cache,
 
     job_specs = [JobSpec(workload, spec, label, scale)
                  for workload in names for spec, label in series]
-    if server is not None:
-        from repro.serve.client import run_jobs
-
-        results = run_jobs(server, job_specs, store=trace_cache)
-    else:
-        results = run_batch(job_specs, processes=jobs, store=trace_cache)
+    results = run_batch(job_specs, processes=jobs, store=trace_cache,
+                        server=server)
     return {(r.workload, r.label): r for r in results}
 
 

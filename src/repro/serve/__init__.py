@@ -20,8 +20,8 @@ Modules:
 * :mod:`repro.serve.metrics` — renders the ``STATS`` snapshot of the
   server's :class:`repro.obs.MetricsRegistry`;
 * :mod:`repro.serve.client` — blocking client (retry/backoff + circuit
-  breaker) + the harness adapter behind
-  ``python -m repro.harness figN --server HOST:PORT``;
+  breaker), also behind ``python -m repro.harness figN --server
+  HOST:PORT`` (:func:`repro.exec.run_batch` with ``server=``);
 * :mod:`repro.serve.config` — :class:`ResilienceConfig`, every
   retry/backoff/watchdog/breaker knob in one dataclass;
 * :mod:`repro.serve.resilience` — the retry-policy and circuit-breaker
@@ -46,7 +46,6 @@ from repro.serve.client import (
     ServeClient,
     ServeError,
     ServerBusy,
-    run_jobs,
 )
 from repro.serve.config import ResilienceConfig
 from repro.serve.resilience import CircuitBreaker, RetryPolicy
@@ -70,6 +69,5 @@ __all__ = [
     "ServeError",
     "ServerBusy",
     "ServerHandle",
-    "run_jobs",
     "serve_in_thread",
 ]

@@ -2,15 +2,15 @@
 
 :class:`ServeClient` speaks the framed protocol over one persistent TCP
 connection (RPCs are sequential per client; use one client per thread
-for concurrency).  :func:`run_jobs` is the harness adapter: it executes
-a batch of :class:`~repro.exec.pool.JobSpec` against a server and
-returns :class:`~repro.exec.pool.JobResult` rows interchangeable with
-``run_batch``'s — same replay, same cost model, same numbers.
+for concurrency).  ``run_batch(jobs, server=HOST:PORT)`` drives figure
+jobs through one (:func:`repro.exec.pool._run_served`).
 
 Submission is digest-first: the client tries a digest-only request
 (zero trace bytes on the wire) and uploads the trace once only when the
-server answers ``UNKNOWN_TRACE``.  After the first upload every
-subsequent request for that trace, from any client, is digest-only.
+server answers ``UNKNOWN_TRACE``.  The server answers that to the first
+client only and holds the others' requests until its upload lands, so
+concurrent clients upload a trace once, and every later request for it
+is digest-only.
 
 **Resilience.**  Constructed with a
 :class:`~repro.serve.config.ResilienceConfig`, the client retries
@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import socket
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
-from repro.exec.pool import JobResult, JobSpec
 from repro.serve import protocol
 from repro.serve.config import ResilienceConfig
 from repro.serve.resilience import CircuitBreaker, RetryPolicy
@@ -240,24 +239,29 @@ class ServeClient:
         With resilience configured, the probe+upload pair is one
         retryable unit, and ``UNKNOWN_TRACE`` answered for the *upload*
         is itself transient: it means the server quarantined the stored
-        trace as corrupt after ingest, so retrying re-uploads it.
+        trace as corrupt after ingest, so retrying re-uploads it.  Once
+        the server has asked for the trace, retries upload it without
+        probing again: the server holds other clients' probes for this
+        upload, and a probe of its own would wait for itself.
         """
-        if self.resilience is None:
-            return self._digest_first_once(spec, digest, trace_bytes, timeout)
-        return self._call_resilient(
-            lambda: self._digest_first_once(spec, digest, trace_bytes, timeout),
-            extra_retry_codes=("UNKNOWN_TRACE",),
-        )
+        upload = False
 
-    def _digest_first_once(self, spec: str, digest: str, trace_bytes: bytes,
-                           timeout: Optional[float] = None) -> dict:
-        try:
-            return self._submit_once(spec, digest=digest, timeout=timeout)
-        except RequestFailed as exc:
-            if exc.code != "UNKNOWN_TRACE":
-                raise
-        self.uploads += 1
-        return self._submit_once(spec, trace_bytes=trace_bytes, timeout=timeout)
+        def attempt() -> dict:
+            nonlocal upload
+            if not upload:
+                try:
+                    return self._submit_once(spec, digest=digest, timeout=timeout)
+                except RequestFailed as exc:
+                    if exc.code != "UNKNOWN_TRACE":
+                        raise
+                upload = True
+            self.uploads += 1
+            return self._submit_once(spec, trace_bytes=trace_bytes,
+                                     digest=digest, timeout=timeout)
+
+        if self.resilience is None:
+            return attempt()
+        return self._call_resilient(attempt, extra_retry_codes=("UNKNOWN_TRACE",))
 
     def stats(self) -> dict:
         frame_type, body = self._rpc(protocol.encode_frame(protocol.STATS_REQUEST))
@@ -273,86 +277,3 @@ class ServeClient:
         """Ask the server to drain and exit (admin)."""
         self._rpc(protocol.encode_frame(protocol.SHUTDOWN))
         self.close()
-
-
-# ----------------------------------------------------------------------
-# harness adapter
-# ----------------------------------------------------------------------
-def run_jobs(
-    server: Union[str, ServeClient],
-    jobs: Sequence[JobSpec],
-    store=None,
-    resilience: Optional[ResilienceConfig] = ResilienceConfig(),
-) -> List[JobResult]:
-    """Execute harness jobs against a daemon; results come back in order.
-
-    Traces are recorded locally (into ``store``, or a temporary
-    directory) exactly once per (workload, scale) — the daemon replays
-    them remotely, so ``JobResult`` rows are bit-identical to
-    :func:`repro.exec.pool.run_batch` on the same jobs.
-
-    When ``server`` is an address, the client is constructed with
-    ``resilience`` (default :class:`ResilienceConfig`), so transient
-    ``BUSY``/reset/crash responses are retried with backoff instead of
-    aborting a whole figure run.  Pass ``resilience=None`` for the old
-    fail-fast behavior; a ready-made :class:`ServeClient` is used as-is,
-    whatever its policy.
-    """
-    import tempfile
-
-    from repro.trace.store import TraceStore
-    from repro.workloads import ALL
-
-    jobs = list(jobs)
-    if not jobs:
-        return []
-
-    if isinstance(server, (str, tuple)):
-        client = ServeClient(server, resilience=resilience)
-        owns_client = True
-    else:
-        client = server
-        owns_client = False
-    tempdir = None
-    if store is None:
-        tempdir = tempfile.TemporaryDirectory(prefix="alda-client-traces-")
-        store = TraceStore(tempdir.name)
-    elif not isinstance(store, TraceStore):
-        store = TraceStore(store)
-
-    try:
-        readers: Dict[Tuple[str, int], tuple] = {}
-        for workload_name, scale in sorted({(j.workload, j.scale) for j in jobs}):
-            workload = ALL[workload_name]
-            reader = store.get_or_record(workload, scale)
-            path = store.trace_path(workload, scale)
-            readers[(workload_name, scale)] = (reader, path)
-
-        results = []
-        for job in jobs:
-            reader, path = readers[(job.workload, job.scale)]
-            response = client.submit_digest_first(
-                job.spec, reader.digest, path.read_bytes()
-            )
-            record = response["result"]
-            baseline = record.get("baseline_cycles")
-            if baseline is None:
-                baseline = reader.summary["plain_cycles"]
-            results.append(JobResult(
-                workload=job.workload,
-                spec=job.spec,
-                label=job.label or job.spec,
-                scale=job.scale,
-                baseline_cycles=baseline,
-                instrumented_cycles=record["instrumented_cycles"],
-                metadata_bytes=record["metadata_bytes"],
-                n_reports=record["n_reports"],
-                wall_seconds=record["wall_seconds"],
-                cached=bool(response.get("cached")),
-            ))
-        return results
-    finally:
-        if owns_client:
-            client.close()
-        if tempdir is not None:
-            tempdir.cleanup()

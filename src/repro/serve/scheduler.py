@@ -191,7 +191,7 @@ class ReplayScheduler:
         """
         import time as _time
 
-        from repro.exec.pool import analysis_fingerprint
+        from repro.exec.pool import result_record, store_record
         from repro.partition import PartitionError, replay_partitioned
         from repro.trace.format import TraceFormatError
         from repro.trace.store import TraceStore
@@ -215,20 +215,10 @@ class ReplayScheduler:
             self.metrics.counter(
                 "partition_fallback_" + type(exc).__name__).inc()
             return None
-        record = {
-            "spec": spec,
-            "trace_digest": digest,
-            "workload": meta.get("workload"),
-            "scale": meta.get("scale"),
-            "baseline_cycles": meta["summary"]["plain_cycles"],
-            "instrumented_cycles": profile.cycles,
-            "metadata_bytes": profile.metadata_bytes,
-            "n_reports": len(list(reporter)),
-            "wall_seconds": _time.perf_counter() - started,
-            "partition_shards": stats["planned_shards"],
-        }
-        key = TraceStore.result_key(digest, analysis_fingerprint(spec))
-        store.store_result(key, record)
+        record = result_record(meta, spec, profile, reporter,
+                               _time.perf_counter() - started,
+                               partition_shards=stats["planned_shards"])
+        store_record(store, record)
         self.metrics.counter("partitioned_replays").inc()
         return record
 

@@ -14,14 +14,19 @@ Request path, in order:
 3. trace ingest (atomic, content-addressed by payload digest) when the
    request carries bytes;
 4. result-cache lookup on ``(trace digest, analysis fingerprint)`` —
-   entries are digest-verified on read, corrupt ones quarantined.  The
-   fingerprint is memoized per spec, so a hit never leaves the event
-   loop: one verified disk read, then the reply;
-5. on miss: bounded admission (``BUSY`` when full), single-flight dedup,
+   entries are digest-verified on read, corrupt ones quarantined, and a
+   record missing a field of :data:`repro.exec.pool.RECORD_FIELDS` is a
+   miss.  The fingerprint is memoized per spec, so a hit never leaves
+   the event loop: one verified disk read, then the reply;
+5. on a miss for a trace the store lacks: the first such request is
+   answered ``UNKNOWN_TRACE`` (its client uploads the trace), and later
+   ones wait up to :data:`INGEST_WAIT` seconds for that upload instead
+   of uploading the same trace again;
+6. bounded admission (``BUSY`` when full), single-flight dedup,
    then a warm :class:`~repro.exec.workers.PersistentWorkerPool` worker
    replays the trace — analyses stay compiled across requests, and a
    crashed or hung worker fails only its own request and is respawned;
-6. per-request timeout with the replay left running (its result still
+7. per-request timeout with the replay left running (its result still
    lands in the cache).
 
 Failure posture: worker crashes/hangs trip the scheduler's circuit
@@ -49,10 +54,10 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from repro import faultline
-from repro.exec.pool import ANALYSIS_SPECS, analysis_fingerprint
+from repro.exec.pool import ANALYSIS_SPECS, analysis_fingerprint, load_record
 from repro.exec.workers import PersistentWorkerPool, TaskError, WorkerCrashError
 from repro.obs import PROCESS, MetricsRegistry
-from repro.trace.format import TraceFormatError, TraceReader
+from repro.trace.format import TraceFormatError
 from repro.trace.store import StoreCorruptionError, TraceStore
 
 from repro.serve import protocol
@@ -63,6 +68,8 @@ from repro.serve.scheduler import BusyError, ReplayScheduler
 REQUEST_TIMEOUT = 120.0
 #: seconds a graceful shutdown waits for in-flight replays
 DRAIN_GRACE = 15.0
+#: seconds requests for a missing trace wait for another client's upload
+INGEST_WAIT = 5.0
 
 
 @dataclass
@@ -112,6 +119,8 @@ class AnalysisServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: set = set()
         self._fingerprints: dict = {}  # spec -> analysis_fingerprint(spec)
+        #: digest -> future of the upload an UNKNOWN_TRACE answer awaits
+        self._ingests: dict = {}
         self._draining = False
         self._stopped = asyncio.Event()
 
@@ -328,9 +337,11 @@ class AnalysisServer:
                     None, self.store.ingest, request.trace_bytes
                 )
             except TraceFormatError as exc:
+                self._end_ingest(request.digest, False)
                 self._send_error(writer, "BAD_TRACE", str(exc))
                 return
             digest = reader.digest
+            self._end_ingest(digest, True)
             self.metrics.counter("traces_ingested").inc()
         else:
             digest = request.digest
@@ -338,18 +349,16 @@ class AnalysisServer:
         key = TraceStore.result_key(digest,
                                     await self._fingerprint(request.spec))
 
-        cached = self.store.load_result(key)
+        cached = load_record(self.store, key)
         if cached is not None:
             self.metrics.counter("cache_hits").inc()
-            if cached.get("baseline_cycles") is None:
-                cached = dict(cached)
-                cached["baseline_cycles"] = self._baseline_from_trace(digest)
             self._send_result(writer, cached, started, cached_hit=True,
                               single_flight=False)
             return
         self.metrics.counter("cache_misses").inc()
 
-        if self.store.find_by_digest(digest) is None:
+        if (self.store.find_by_digest(digest) is None
+                and not await self._await_ingest(digest)):
             self._send_error(
                 writer, "UNKNOWN_TRACE",
                 f"no ingested trace with digest {digest}; "
@@ -422,14 +431,32 @@ class AnalysisServer:
             f"quarantined; re-submit the trace bytes ({detail})",
         )
 
-    def _baseline_from_trace(self, digest: str) -> Optional[int]:
-        path = self.store.find_by_digest(digest)
-        if path is None:
-            return None
-        try:
-            return TraceReader.read_tail_meta(path)["summary"]["plain_cycles"]
-        except (OSError, KeyError, TraceFormatError):
-            return None
+    async def _await_ingest(self, digest: str) -> bool:
+        """Whether the trace ``digest``, which the store lacks, arrives.
+
+        The first request for it opens a pending ingest and gets False
+        at once: it is answered ``UNKNOWN_TRACE`` and its client uploads
+        the trace.  Later requests wait for that upload, for at most
+        :data:`INGEST_WAIT` seconds after it was opened, so concurrent
+        clients upload one trace once.
+        """
+        pending = self._ingests.get(digest)
+        if pending is None:
+            loop = asyncio.get_running_loop()
+            pending = self._ingests[digest] = loop.create_future()
+            loop.call_later(INGEST_WAIT, self._end_ingest, digest, False, pending)
+            return False
+        return (await asyncio.shield(pending)
+                and self.store.find_by_digest(digest) is not None)
+
+    def _end_ingest(self, digest: Optional[str], ok: bool,
+                    pending: Optional[asyncio.Future] = None) -> None:
+        """Resolve the pending ingest of ``digest`` (only if it is still
+        ``pending``, when given): ``ok`` says the trace arrived."""
+        current = self._ingests.get(digest)
+        if current is not None and pending in (None, current):
+            del self._ingests[digest]
+            current.set_result(ok)
 
     def _send_result(self, writer, record: dict, started: float,
                      cached_hit: bool, single_flight: bool) -> None:

@@ -18,7 +18,7 @@ import os
 import time
 
 from repro import faultline
-from repro.exec.pool import analysis_fingerprint, build_analysis
+from repro.exec.pool import build_analysis, result_record, store_record
 from repro.trace.replayer import TraceReplayer
 from repro.trace.store import TraceStore
 
@@ -36,10 +36,9 @@ def replay_digest(payload: dict) -> dict:
     """Replay one ingested trace through one analysis; cache the result.
 
     ``payload``: ``{"root": store dir, "digest": trace payload digest,
-    "spec": analysis registry key}``.  Returns the result-cache record —
-    the same dict a concurrent request for the same key would read from
-    disk — including ``baseline_cycles`` so digest-only clients need no
-    local copy of the trace.
+    "spec": analysis registry key}``.  Returns the result-cache record
+    (:func:`repro.exec.pool.result_record`) — the same dict a concurrent
+    request for the same key would read from disk.
     """
     root, digest, spec = payload["root"], payload["digest"], payload["spec"]
     # Fault points for the chaos suite: simulate a worker dying or
@@ -51,24 +50,10 @@ def replay_digest(payload: dict) -> dict:
     if faultline.inject("worker.hang"):
         while True:
             time.sleep(3600)
-    store = TraceStore(root)
     replayer = _replayer(root, digest)
-    summary = replayer.trace.summary
-
-    key = TraceStore.result_key(digest, analysis_fingerprint(spec))
     started = time.perf_counter()
     profile, reporter = replayer.replay([build_analysis(spec)])
-    wall = time.perf_counter() - started
-    record = {
-        "spec": spec,
-        "trace_digest": digest,
-        "workload": replayer.trace.meta.get("workload"),
-        "scale": replayer.trace.meta.get("scale"),
-        "baseline_cycles": summary["plain_cycles"],
-        "instrumented_cycles": profile.cycles,
-        "metadata_bytes": profile.metadata_bytes,
-        "n_reports": len(list(reporter)),
-        "wall_seconds": wall,
-    }
-    store.store_result(key, record)
+    record = result_record(replayer.trace.meta, spec, profile, reporter,
+                           time.perf_counter() - started)
+    store_record(TraceStore(root), record)
     return record

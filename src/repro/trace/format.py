@@ -16,11 +16,11 @@ Each entry in ``meta["segments"]`` records the segment's absolute file
 offset, compressed/uncompressed length, SHA-256 of its uncompressed
 bytes, its record/event/access counts, and a *snapshot* of the decoder
 state at the segment's first record — string-table length, last access
-address, next frame serial, running record/event/access totals, and the
-live frame stack (serial, tid, caller entry, shadow registers).  A
-segment is therefore decodable (and replayable) standalone: seed the
-decoder from the snapshot, range-read only that segment's bytes, and
-verify them against the per-segment digest.  The concatenation of all
+address, next frame serial and running record/event/access totals.  A
+segment is therefore decodable standalone: seed the decoder from the
+snapshot, range-read only that segment's bytes, and verify them against
+the per-segment digest.  (Its replay needs the frames live at the cut,
+which a settle threads through the segments in order.)  The concatenation of all
 uncompressed segments is the record payload; its digest does not
 depend on where the segments were cut, so neither does any
 digest-keyed cache.  Any other container version (such as the retired
@@ -193,9 +193,6 @@ class TraceWriter:
         self._closed = False
         self._seg_target = segment_target_bytes
         self._file.write(MAGIC)
-        #: serial -> (tid, caller entry or None, shadow regs) for live
-        #: frames — the snapshot a new segment carries in.
-        self._live: Dict[int, Tuple[int, Optional[str], Dict[str, int]]] = {}
         self._entries: List[dict] = []
         self._seg_offset = len(MAGIC)
         self._seg_ulen = 0
@@ -226,10 +223,6 @@ class TraceWriter:
             "records_before": self.n_records,
             "events_before": self.n_events,
             "accesses_before": self.n_accesses,
-            "frames": [
-                [serial, tid, entry, dict(shadow)]
-                for serial, (tid, entry, shadow) in sorted(self._live.items())
-            ],
         }
 
     def _finalize_segment(self) -> None:
@@ -385,7 +378,6 @@ class TraceWriter:
         _put(self._buf, OP_SET0, serial, self.intern(reg))
         self.n_shadow_ops += 1
         self.n_records += 1
-        self._live[serial][2][reg] = 0
 
     def shadow_or2(self, serial: int, dst: str, lhs: Optional[str],
                    rhs: Optional[str]) -> None:
@@ -395,14 +387,6 @@ class TraceWriter:
         _put(self._buf, OP_OR2, serial, dst_id, lhs_id, rhs_id)
         self.n_shadow_ops += 1
         self.n_records += 1
-        # Mirror the replayer's shadow semantics so segment snapshots
-        # carry the exact register metadata a monolithic replay would
-        # hold at the cut.
-        shadow = self._live[serial][2]
-        meta = shadow.get(lhs, 0) if lhs is not None else 0
-        if rhs is not None:
-            meta |= shadow.get(rhs, 0)
-        shadow[dst] = meta
 
     def shadow_mov(self, dst_serial: int, dst: str, src_serial: int,
                    src: Optional[str]) -> None:
@@ -411,16 +395,11 @@ class TraceWriter:
         _put(self._buf, OP_MOV, dst_serial, dst_id, src_serial, src_id)
         self.n_shadow_ops += 1
         self.n_records += 1
-        value = 0
-        if src is not None:
-            value = self._live[src_serial][2].get(src, 0)
-        self._live[dst_serial][2][dst] = value
 
     def shadow_default(self, serial: int, reg: str) -> None:
         _put(self._buf, OP_DEFAULT, serial, self.intern(reg))
         self.n_shadow_ops += 1
         self.n_records += 1
-        self._live[serial][2].setdefault(reg, 0)
 
     def frame_push(self, tid: int, caller_entry: Optional[str]) -> int:
         """Returns the serial assigned to the pushed frame."""
@@ -430,13 +409,11 @@ class TraceWriter:
         serial = self._next_serial
         self._next_serial += 1
         self.n_records += 1
-        self._live[serial] = (tid, caller_entry, {})
         return serial
 
     def frame_pop(self, serial: int, tid: int) -> None:
         _put(self._buf, OP_POP, serial, tid)
         self.n_records += 1
-        self._live.pop(serial, None)
         self._maybe_cut()
 
     def summary(self, base_cycles: int, instructions: int, mem_cycles: int,

@@ -13,6 +13,7 @@ from repro.exec import (
     build_analysis,
     run_batch,
 )
+from repro.exec.pool import RECORD_FIELDS, load_record, record_key
 from repro.baselines import HandTunedMSan
 from repro.harness.runner import measure_overhead
 from repro.trace import TraceReplayer, TraceStore
@@ -193,3 +194,24 @@ def test_partly_cached_group_settles_only_misses(tmp_path, settle_calls):
     assert cached.cached and not fresh.cached
     inline = measure_overhead(ALL["bzip2"], build_analysis("eraser.full"))
     assert fresh.instrumented_cycles == inline.instrumented_cycles
+
+
+def test_record_without_a_schema_field_is_settled_again(tmp_path, settle_calls):
+    """A cached record that lacks a field (here ``baseline_cycles``) is a
+    miss: the spec settles again and the full record overwrites it."""
+    job = JobSpec("bzip2", "msan.alda")
+    store = TraceStore(tmp_path)
+    (first,) = run_batch([job], store=store)
+    digest = store.read_tail_meta(store.trace_path(ALL["bzip2"], 1))["digest"]
+    key = record_key(digest, job.spec)
+    partial = dict(store.load_result(key))
+    assert set(partial) == set(RECORD_FIELDS)
+    del partial["baseline_cycles"]
+    store.store_result(key, partial)
+    assert load_record(store, key) is None
+
+    (again,) = run_batch([job], store=store)
+    assert settle_calls == [1, 1]
+    assert not again.cached
+    assert again.baseline_cycles == first.baseline_cycles
+    assert load_record(store, key)["baseline_cycles"] == first.baseline_cycles

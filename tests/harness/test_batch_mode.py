@@ -58,8 +58,9 @@ def test_pool_without_trace_cache_matches_inline(inline_fig4):
 
 
 def test_inline_figure_loads_no_trace_package():
-    """Without a trace cache nothing is recorded or decoded, so a fresh
-    process running ``figure3`` inline never imports ``repro.trace``."""
+    """Without a trace cache nothing is recorded or decoded, and without
+    a server nothing is sent, so a fresh process running ``figure3``
+    inline imports neither ``repro.trace`` nor ``repro.serve``."""
     script = textwrap.dedent("""
         import sys
         import repro.harness.figures as figures
@@ -67,7 +68,8 @@ def test_inline_figure_loads_no_trace_package():
 
         figures.fig3_workloads = lambda: {"bzip2": ALL["bzip2"]}
         assert list(figures.figure3().rows) == ["bzip2"]
-        print(sorted(name for name in sys.modules if name.startswith("repro.trace")))
+        print(sorted(name for name in sys.modules
+                     if name.startswith(("repro.trace", "repro.serve"))))
     """)
     src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))

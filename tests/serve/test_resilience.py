@@ -293,19 +293,18 @@ def test_unknown_trace_not_retried_without_bytes(make_server):
     assert client.retry_stats["retries"] == 0  # definitive, not transient
 
 
-def test_run_jobs_survives_busy_storm(make_server):
-    # Satellite: figureN(server=...) must not abort on transient BUSY.
-    from repro.exec.pool import JobSpec
-    from repro.serve.client import run_jobs
+def test_run_batch_survives_busy_storm(make_server):
+    # figureN(server=...) must not abort on transient BUSY.
+    from repro.exec.pool import JobSpec, run_batch
 
     handle = make_server()
     faultline.install(FaultPlan(seed=9, points={
         "serve.busy": FaultSpec(probability=1.0, max_fires=3),
     }))
-    results = run_jobs(handle.address, [
+    results = run_batch([
         JobSpec("fft", "eraser.full", "eraser", 1),
         JobSpec("fft", "eraser.ds_only", "ds-only", 1),
-    ], resilience=FAST)
+    ], server=handle.address)
     assert len(results) == 2
     assert all(r.instrumented_cycles > 0 for r in results)
 

@@ -97,6 +97,41 @@ def test_digest_first_uploads_once(make_server, fft_trace):
     assert snap["counters"]["traces_ingested"] == 1
 
 
+def test_concurrent_digest_first_clients_upload_once(make_server, fft_trace):
+    """Probes that miss a trace while its first upload is pending wait
+    for that upload instead of each uploading the trace again."""
+    digest, blob, plain_cycles = fft_trace
+    handle = make_server()
+    specs = ["eraser.full", "msan.alda", "eraser.ds_only", "eraser.full"]
+    barrier = threading.Barrier(len(specs))
+    clients = [ServeClient(handle.address) for _ in specs]
+    results, errors = [], []
+
+    def one_request(client, spec):
+        try:
+            with client:
+                client.ping()  # connected before the barrier
+                barrier.wait()
+                results.append(client.submit_digest_first(spec, digest, blob))
+        except Exception as exc:  # noqa: BLE001 - collected for assertion
+            errors.append(exc)
+
+    threads = [threading.Thread(target=one_request, args=pair)
+               for pair in zip(clients, specs)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+
+    assert not errors
+    assert len(results) == len(specs)
+    assert all(r["result"]["baseline_cycles"] == plain_cycles for r in results)
+    assert sum(client.uploads for client in clients) == 1
+    with ServeClient(handle.address) as client:
+        snap = client.stats()
+    assert snap["counters"]["traces_ingested"] == 1
+
+
 @needs_fork
 def test_single_flight_dedupes_concurrent_identical(make_server, fft_trace,
                                                     inject_spec):

@@ -82,7 +82,7 @@ def _container(payload, string_table=()):
     digest = hashlib.sha256(payload).hexdigest()
     snapshot = {"n_strings": 0, "last_address": 0, "next_serial": 0,
                 "records_before": 0, "events_before": 0,
-                "accesses_before": 0, "frames": []}
+                "accesses_before": 0}
     meta = json.dumps({
         "version": FORMAT_VERSION, "digest": digest,
         "segments": [{"offset": len(MAGIC), "clen": len(blob),
