@@ -6,23 +6,14 @@ scale.  :func:`run_batch` groups a batch's jobs by ``(workload,
 scale)`` and runs each group as one task, in process or on a worker
 pool.  Which task depends on where the batch's results come from:
 
-* **Nothing** — :func:`_run_workload` runs the workload plain once,
-  then instrumented once per distinct spec, exactly as
-  :func:`repro.harness.runner.measure_overhead` does.  Nothing is
-  recorded or cached.
-* **A trace store** — :func:`_run_trace` works through the store, one
-  trace per task:
-
-  1. **Meta** — read the trace's tail meta (digest, summary) with two
-     seeks and look every distinct spec up in the result cache, keyed
-     by ``(trace digest, analysis fingerprint)``.  A warm rerun stops
-     here without reading a payload byte.
-  2. **Settle** — on a miss, open the trace (recording it if absent)
-     and settle every missing spec together, segment by segment
-     (:func:`repro.trace.replayer.settle_trace`): each segment is
-     decoded once, fired through each spec's own replay state, and
-     dropped, so a task holds one trace's payload and one segment of
-     decoded records.
+* **The program itself** — :func:`_run_workload` runs the workload
+  plain once, then instrumented once per distinct spec, exactly as
+  :func:`repro.harness.runner.measure_overhead` does.  No trace is
+  recorded.  With a trace store the task first looks each distinct
+  spec up in the store's result cache, keyed by ``(module digest,
+  analysis fingerprint)`` (:func:`repro.trace.store.module_digest`),
+  and runs only the misses, caching each result.  A warm rerun makes
+  no VM run and opens no trace.
 * **An analysis daemon** — :func:`_run_served` records the trace once
   (into the store, or a temporary directory), reads its bytes once,
   and submits each distinct spec digest-first to the daemon
@@ -37,14 +28,16 @@ Replay is bit-identical to the inline run (see
 :mod:`repro.trace.replayer`), so every task returns the same results.
 The fingerprint hashes the analysis implementation (generated Python
 for ALDAcc-compiled analyses, class source for hand-tuned baselines),
-so editing an analysis — or a workload, which changes the trace
-digest — invalidates exactly the affected cache entries.
+so editing an analysis — or a workload, which changes its module and
+trace digests — invalidates exactly the affected cache entries.
 
-Every replay that fills the result cache — the trace task here, the
-daemon's worker task and its partitioned replay — builds its record
-with :func:`result_record` and writes it with :func:`store_record`;
-:func:`load_record` reads it back and :meth:`JobResult.from_record`
-turns it into a row.
+Every result the cache holds — a batch run here, the daemon's worker
+task and its partitioned replay — is built by :func:`result_record`
+and written by :func:`store_record`; :func:`load_record` reads it back
+and :meth:`JobResult.from_record` turns it into a row.  A batch record
+carries the ``module_digest`` it ran, a daemon's the ``trace_digest``
+it replayed, and each is keyed by its own digest, so the two never
+share a key.
 
 Workers are :class:`repro.exec.workers.PersistentWorkerPool` processes;
 ``build_analysis`` keeps each compiled analysis built at most once per
@@ -62,8 +55,8 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
 
-# The trace and serve packages are imported on their own paths only: an
-# inline batch never records, decodes, caches or connects.
+# The trace and serve packages are imported on their own paths only: a
+# batch with neither a store nor a daemon never caches or connects.
 if TYPE_CHECKING:
     from repro.trace.store import TraceStore
 
@@ -251,33 +244,46 @@ class JobResult:
 #: the fields of a record that a :class:`JobResult` carries
 _MEASURED = ("baseline_cycles", "instrumented_cycles", "metadata_bytes",
              "n_reports", "wall_seconds")
-#: every field of a result-cache record
-RECORD_FIELDS = ("spec", "trace_digest", "workload", "scale") + _MEASURED
+#: every field of a result-cache record but the digest it is keyed by
+RECORD_FIELDS = ("spec", "workload", "scale") + _MEASURED
+#: the digest a record is keyed by, one per record: the module a batch
+#: ran, or the trace a daemon replayed
+DIGEST_FIELDS = ("module_digest", "trace_digest")
 
 
 # -- result records ------------------------------------------------------
 
 
-def result_record(meta: dict, spec: str, profile, reporter, seconds: float,
-                  **extra) -> dict:
-    """The result-cache record of one replay of the trace whose tail
-    meta is ``meta``; ``extra`` adds fields (``partition_shards``)."""
+def result_record(spec: str, profile, reporter, seconds: float,
+                  **fields) -> dict:
+    """The result-cache record of one instrumented run of ``spec``.
+
+    ``fields`` names what ran: its ``workload``, ``scale``,
+    ``baseline_cycles`` and one digest of :data:`DIGEST_FIELDS`
+    (:func:`trace_fields` gives them for a replayed trace), plus any
+    extra field (``partition_shards``).
+    """
     return {
         "spec": spec,
-        "trace_digest": meta["digest"],
-        "workload": meta.get("workload"),
-        "scale": meta.get("scale"),
-        "baseline_cycles": meta["summary"]["plain_cycles"],
+        **fields,
         "instrumented_cycles": profile.cycles,
         "metadata_bytes": profile.metadata_bytes,
         "n_reports": len(list(reporter)),
         "wall_seconds": seconds,
-        **extra,
     }
 
 
+def trace_fields(meta: dict) -> dict:
+    """The :func:`result_record` fields of a replay of the trace whose
+    tail meta is ``meta``."""
+    return {"trace_digest": meta["digest"], "workload": meta.get("workload"),
+            "scale": meta.get("scale"),
+            "baseline_cycles": meta["summary"]["plain_cycles"]}
+
+
 def record_key(digest: str, spec: str) -> str:
-    """The result-cache key of ``spec`` replayed over trace ``digest``."""
+    """The result-cache key of ``spec`` run over ``digest`` (a module
+    digest or a trace digest)."""
     from repro.trace.store import TraceStore
 
     return TraceStore.result_key(digest, analysis_fingerprint(spec))
@@ -285,15 +291,17 @@ def record_key(digest: str, spec: str) -> str:
 
 def store_record(store: TraceStore, record: dict) -> None:
     """Write ``record`` to the result cache under its own key."""
-    store.store_result(record_key(record["trace_digest"], record["spec"]), record)
+    digest = next(record[name] for name in DIGEST_FIELDS if name in record)
+    store.store_result(record_key(digest, record["spec"]), record)
 
 
 def load_record(store: TraceStore, key: str) -> Optional[dict]:
     """The cached record under ``key``, or None.  A record that lacks a
-    field of :data:`RECORD_FIELDS` is a miss: its caller settles the
-    spec again and overwrites it."""
+    field of :data:`RECORD_FIELDS`, or a digest, is a miss: its caller
+    runs the spec again and overwrites it."""
     record = store.load_result(key)
-    if record is None or not all(name in record for name in RECORD_FIELDS):
+    if (record is None or not all(name in record for name in RECORD_FIELDS)
+            or not any(name in record for name in DIGEST_FIELDS)):
         return None
     return record
 
@@ -302,96 +310,58 @@ def load_record(store: TraceStore, key: str) -> Optional[dict]:
 
 #: dotted task paths for PersistentWorkerPool submission
 WORKLOAD_TASK = "repro.exec.pool:_run_workload"
-TRACE_TASK = "repro.exec.pool:_run_trace"
 SERVED_TASK = "repro.exec.pool:_run_served"
 
 
 def _run_workload(packed) -> List[JobResult]:
-    """Every job of one (workload, scale), run inline: one plain run,
-    then one instrumented run per distinct spec."""
-    name, scale, jobs = packed
+    """Every job of one (workload, scale): one plain run, then one
+    instrumented run per distinct spec.
+
+    With a store at ``root`` each distinct spec is first looked up in
+    its result cache under ``(module digest, analysis fingerprint)``;
+    only the misses run, and each is cached.  No trace is recorded.
+    """
+    root, name, scale, jobs = packed
     from repro.harness import runner
     from repro.workloads import ALL
 
     workload = ALL[name]
-    baseline = runner.run_plain(workload, scale)
-    measured = {}
-    for spec in dict.fromkeys(job.spec for job in jobs):
+    records = dict.fromkeys(job.spec for job in jobs)
+    digest = None
+    if root is not None:
+        from repro.trace.store import TraceStore, module_digest
+
+        store = TraceStore(root)
+        digest = module_digest(workload, scale)
+        records = {spec: load_record(store, record_key(digest, spec))
+                   for spec in records}
+    missing = [spec for spec, record in records.items() if record is None]
+    if missing:
+        baseline = runner.run_plain(workload, scale)
+    for spec in missing:
         started = time.perf_counter()
         profile, reporter = runner.run_instrumented(
             workload, [build_analysis(spec)], scale)
-        measured[spec] = {
-            "baseline_cycles": baseline.cycles,
-            "instrumented_cycles": profile.cycles,
-            "metadata_bytes": profile.metadata_bytes,
-            "n_reports": len(list(reporter)),
-            "wall_seconds": time.perf_counter() - started,
-        }
-    return [JobResult.from_record(job, measured[job.spec], cached=False)
-            for job in jobs]
-
-
-def _resolve(store: TraceStore, meta: dict, jobs: Sequence[JobSpec],
-             settle: Callable[[List[str]], list]) -> List[JobResult]:
-    """Results for jobs over one trace, through the result cache.
-
-    Each distinct spec is looked up once under ``(digest, analysis
-    fingerprint)``.  ``settle(missing specs)``, called only if some are,
-    returns one ``(profile, reporter, seconds)`` per miss, to be stored.
-    """
-    records = {job.spec: load_record(store, record_key(meta["digest"], job.spec))
-               for job in jobs}
-    missing = [spec for spec, record in records.items() if record is None]
-    settled = settle(missing) if missing else ()
-    for spec, (profile, reporter, seconds) in zip(missing, settled):
-        records[spec] = result_record(meta, spec, profile, reporter, seconds)
-        store_record(store, records[spec])
+        records[spec] = result_record(
+            spec, profile, reporter, time.perf_counter() - started,
+            module_digest=digest, workload=name, scale=scale,
+            baseline_cycles=baseline.cycles)
+        if root is not None:
+            store_record(store, records[spec])
     return [JobResult.from_record(job, records[job.spec],
                                   cached=job.spec not in missing)
             for job in jobs]
-
-
-def _run_trace(packed) -> List[JobResult]:
-    """Every job of one (workload, scale): meta first, payload on a miss.
-
-    The digest and summary come from the trace's tail meta, so a batch
-    whose results are all cached reads no payload byte.  On a miss the
-    trace is opened (or recorded) by ``get_or_record``, which verifies
-    it and self-heals, and every missing spec settles together in one
-    segment-by-segment pass (:func:`repro.trace.replayer.settle_trace`).
-    """
-    root, name, scale, jobs = packed
-    from repro.trace.replayer import settle_trace
-    from repro.trace.store import StoreCorruptionError, TraceStore, module_digest
-    from repro.workloads import ALL
-
-    store = TraceStore(root)
-    digest = module_digest(ALL[name], scale)
-    path = store.trace_path(ALL[name], scale, digest)
-    open_trace = functools.partial(store.get_or_record, ALL[name], scale,
-                                   digest=digest)
-    try:
-        meta, reader = store.read_tail_meta(path), None
-    except (OSError, StoreCorruptionError):  # absent, or quarantined
-        reader = open_trace()
-        meta = reader.meta
-
-    def settle(specs: List[str]) -> list:
-        return settle_trace(reader or open_trace(),
-                            [[build_analysis(spec)] for spec in specs])
-
-    return _resolve(store, meta, jobs, settle)
 
 
 def _run_served(packed) -> List[JobResult]:
     """Every job of one (workload, scale) on an analysis daemon.
 
     The trace is recorded once into the store at ``root`` (a temporary
-    directory when it is None) and its bytes read once; each distinct
-    spec is then submitted digest-first, so the bytes cross the wire
-    only if the daemon lacks the trace.  The client retries transient
-    failures (``BUSY``, resets, worker crashes) under the default
-    :class:`repro.serve.config.ResilienceConfig`.
+    directory when it is None) and read once, verified; each distinct
+    spec is then submitted digest-first with those bytes, which cross
+    the wire only if the daemon lacks the trace.  The client retries
+    transient failures (``BUSY``, resets, worker crashes) under the
+    default :class:`repro.serve.config.ResilienceConfig`.
     """
     address, root, name, scale, jobs = packed
     import tempfile
@@ -405,12 +375,10 @@ def _run_served(packed) -> List[JobResult]:
         if root is None:
             root = stack.enter_context(
                 tempfile.TemporaryDirectory(prefix="alda-client-traces-"))
-        store = TraceStore(root)
-        digest = store.get_or_record(ALL[name], scale).digest
-        data = store.trace_path(ALL[name], scale).read_bytes()
+        reader, data = TraceStore(root).get_or_record_bytes(ALL[name], scale)
         client = stack.enter_context(
             ServeClient(address, resilience=ResilienceConfig()))
-        responses = {spec: client.submit_digest_first(spec, digest, data)
+        responses = {spec: client.submit_digest_first(spec, reader.digest, data)
                      for spec in dict.fromkeys(job.spec for job in jobs)}
     return [JobResult.from_record(job, responses[job.spec]["result"],
                                   cached=responses[job.spec]["cached"])
@@ -430,13 +398,12 @@ def run_batch(
 
     Jobs are grouped by ``(workload, scale)`` and each group runs as one
     task, in process or, with ``processes > 1``, on a worker pool.
-    ``store`` may be a :class:`TraceStore` or a directory path: each
-    group then runs through the trace and result cache
-    (:func:`_run_trace`).  ``server``, a ``HOST:PORT`` address, sends
-    each group to an analysis daemon instead (:func:`_run_served`),
-    recording its trace into ``store`` when there is one.  With neither
-    each group runs inline (:func:`_run_workload`) and nothing is
-    recorded.
+    Each group runs inline (:func:`_run_workload`); ``store``, a
+    :class:`TraceStore` or a directory path, adds its result cache, so
+    a rerun reads each result instead of running it.  ``server``, a
+    ``HOST:PORT`` address, sends each group to an analysis daemon
+    instead (:func:`_run_served`), recording its trace into ``store``
+    when there is one.
     """
     jobs = list(jobs)
     if not jobs:
@@ -452,21 +419,17 @@ def run_batch(
             raise KeyError(f"unknown workload {job.workload!r}")
         groups.setdefault((job.workload, job.scale), []).append(index)
 
-    tasks = [(name, scale, tuple(jobs[i] for i in indices))
-             for (name, scale), indices in groups.items()]
     root = None
     if store is not None:
         from repro.trace.store import TraceStore
 
         root = str((store if isinstance(store, TraceStore) else TraceStore(store)).root)
+    tasks = [(root, name, scale, tuple(jobs[i] for i in indices))
+             for (name, scale), indices in groups.items()]
+    task, run = WORKLOAD_TASK, _run_workload
     if server is not None:
-        tasks = [(server, root, *packed) for packed in tasks]
+        tasks = [(server, *packed) for packed in tasks]
         task, run = SERVED_TASK, _run_served
-    elif root is not None:
-        tasks = [(root, *packed) for packed in tasks]
-        task, run = TRACE_TASK, _run_trace
-    else:
-        task, run = WORKLOAD_TASK, _run_workload
     if processes > 1:
         from repro.exec.workers import PersistentWorkerPool
 

@@ -104,8 +104,8 @@ def main(argv=None) -> int:
                         help="worker processes for figures, one workload "
                              "per task (see docs/TRACING.md)")
     parser.add_argument("--trace-cache", metavar="DIR", default=None,
-                        help="persistent trace/result cache directory: record "
-                             "each workload once and replay its analyses")
+                        help="persistent result cache: a rerun reads each "
+                             "result instead of running it")
     parser.add_argument("--server", metavar="HOST:PORT", default=None,
                         help="replay figure analyses on a repro.serve daemon; "
                              "--jobs N runs N workloads' clients at once "

@@ -142,10 +142,10 @@ def reference_result(store, workload_name: str, scale: int, spec: str) -> dict:
     assert faultline.active_plan() is None, \
         "reference must be computed before the fault plan is installed"
     workload = ALL[workload_name]
-    reader = store.get_or_record(workload, scale)
+    reader, data = store.get_or_record_bytes(workload, scale)
     # replay_digest resolves traces through the by-digest/ namespace
     # (the daemon's ingest path), so mirror the recording there.
-    store.ingest(store.trace_path(workload, scale).read_bytes())
+    store.ingest(data)
     return replay_digest({
         "root": str(store.root), "digest": reader.digest, "spec": spec,
     })

@@ -340,8 +340,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="alda-loadgen-") as tmp:
         store = TraceStore(tmp)
         workload = ALL[args.workload]
-        reader = store.get_or_record(workload, args.scale)
-        trace_bytes = store.trace_path(workload, args.scale).read_bytes()
+        reader, trace_bytes = store.get_or_record_bytes(workload, args.scale)
         gen = LoadGen(args.server, specs, reader.digest, trace_bytes,
                       args.requests, args.concurrency, seed=args.seed)
         report = gen.run()

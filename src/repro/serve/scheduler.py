@@ -191,7 +191,7 @@ class ReplayScheduler:
         """
         import time as _time
 
-        from repro.exec.pool import result_record, store_record
+        from repro.exec.pool import result_record, store_record, trace_fields
         from repro.partition import PartitionError, replay_partitioned
         from repro.trace.format import TraceFormatError
         from repro.trace.store import TraceStore
@@ -215,9 +215,10 @@ class ReplayScheduler:
             self.metrics.counter(
                 "partition_fallback_" + type(exc).__name__).inc()
             return None
-        record = result_record(meta, spec, profile, reporter,
+        record = result_record(spec, profile, reporter,
                                _time.perf_counter() - started,
-                               partition_shards=stats["planned_shards"])
+                               partition_shards=stats["planned_shards"],
+                               **trace_fields(meta))
         store_record(store, record)
         self.metrics.counter("partitioned_replays").inc()
         return record

@@ -287,7 +287,11 @@ class AnalysisServer:
         writer.write(protocol.encode_json_frame(
             protocol.ERROR, {"code": code, "message": message}
         ))
-        self.metrics.counter("errors_total").inc()
+        # UNKNOWN_TRACE asks the client to upload the trace: a protocol
+        # step, not a failure (a quarantined trace also counts in
+        # store_corruptions).
+        self.metrics.counter("unknown_trace_total" if code == "UNKNOWN_TRACE"
+                             else "errors_total").inc()
 
     def _send_busy(self, writer, queue_depth: int, capacity: int) -> None:
         writer.write(protocol.encode_json_frame(

@@ -18,7 +18,7 @@ import os
 import time
 
 from repro import faultline
-from repro.exec.pool import build_analysis, result_record, store_record
+from repro.exec.pool import build_analysis, result_record, store_record, trace_fields
 from repro.trace.replayer import TraceReplayer
 from repro.trace.store import TraceStore
 
@@ -53,7 +53,7 @@ def replay_digest(payload: dict) -> dict:
     replayer = _replayer(root, digest)
     started = time.perf_counter()
     profile, reporter = replayer.replay([build_analysis(spec)])
-    record = result_record(replayer.trace.meta, spec, profile, reporter,
-                           time.perf_counter() - started)
+    record = result_record(spec, profile, reporter, time.perf_counter() - started,
+                           **trace_fields(replayer.trace.meta))
     store_record(TraceStore(root), record)
     return record

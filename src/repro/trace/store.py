@@ -10,9 +10,10 @@ entirely.
 
 The store also hosts a result cache for the batch executor
 (:mod:`repro.exec.pool`) and the serve daemon (:mod:`repro.serve`):
-replay results keyed by ``(trace digest, analysis fingerprint)``, plus a
-``by-digest/`` index of ingested trace payloads for digest-addressed
-lookups over the wire.
+results keyed by ``(module digest, analysis fingerprint)`` for a batch
+run and ``(trace digest, analysis fingerprint)`` for a daemon replay,
+plus a ``by-digest/`` index of ingested trace payloads for
+digest-addressed lookups over the wire.
 
 Every write is atomic — bytes land in a temp file *in the destination
 directory* and are published with ``os.replace`` — so any number of
@@ -40,7 +41,7 @@ import re
 import tempfile
 import time
 from pathlib import Path
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro import faultline
 from repro.errors import VMError
@@ -226,9 +227,10 @@ class TraceStore:
                     pass
         return report
 
-    def _read_trace_verified(self, path: Path,
-                             expect_digest: Optional[str] = None) -> TraceReader:
-        """Read + integrity-check one trace file; quarantine on failure."""
+    def _read_trace_verified(self, path: Path, expect_digest: Optional[str] = None
+                             ) -> Tuple[TraceReader, bytes]:
+        """Read + integrity-check one trace file; quarantine on failure.
+        Returns the reader and the file's bytes."""
         data = path.read_bytes()
         if faultline.inject("store.read.corrupt"):
             plan = faultline.active_plan()
@@ -252,7 +254,7 @@ class TraceStore:
             self.quarantine(path, reason)
             raise StoreCorruptionError(path, reason)
         self._bump("verified_trace_reads")
-        return reader
+        return reader, data
 
     # -- traces --------------------------------------------------------
     def trace_path(self, workload: Workload, scale: int,
@@ -265,7 +267,6 @@ class TraceStore:
         workload: Workload,
         scale: int = 1,
         segment_target_bytes: int = DEFAULT_SEGMENT_TARGET,
-        digest: Optional[str] = None,
     ) -> TraceReader:
         """Open the cached trace for (workload, scale), recording on miss.
 
@@ -278,10 +279,19 @@ class TraceStore:
         left by an older release — is quarantined and re-recorded in
         place, so local corruption self-heals.  Only a corrupt
         *re-recording* (e.g. an injected partial write firing every
-        time) escapes as :class:`StoreCorruptionError`.  ``digest`` is
-        the :func:`module_digest`, when the caller already computed it.
+        time) escapes as :class:`StoreCorruptionError`.
         """
-        digest = digest or module_digest(workload, scale)
+        return self.get_or_record_bytes(workload, scale, segment_target_bytes)[0]
+
+    def get_or_record_bytes(
+        self,
+        workload: Workload,
+        scale: int = 1,
+        segment_target_bytes: int = DEFAULT_SEGMENT_TARGET,
+    ) -> Tuple[TraceReader, bytes]:
+        """:meth:`get_or_record`, plus the bytes of the trace file it
+        verified: a caller that uploads the trace reads it once."""
+        digest = module_digest(workload, scale)
         path = self.trace_path(workload, scale, digest)
         if path.exists():
             try:
@@ -304,7 +314,7 @@ class TraceStore:
         a path: digest-checked, quarantining,
         :class:`StoreCorruptionError` on failure.
         """
-        return self._read_trace_verified(Path(path))
+        return self._read_trace_verified(Path(path))[0]
 
     def read_tail_meta(self, path) -> dict:
         """Seek-read just the tail meta of a trace file (no payload IO).
@@ -395,7 +405,7 @@ class TraceStore:
         path = self.find_by_digest(digest)
         if path is None:
             raise KeyError(f"no ingested trace with digest {digest}")
-        return self._read_trace_verified(path, expect_digest=digest)
+        return self._read_trace_verified(path, expect_digest=digest)[0]
 
     # -- replay-result cache -------------------------------------------
     @staticmethod

@@ -2,10 +2,12 @@
 bit-identical to the inline sequential path (the acceptance bar for
 `--server`)."""
 
+from pathlib import Path
+
 import pytest
 
 import repro.harness.figures as figures
-from repro.exec import workers
+from repro.exec import JobSpec, run_batch, workers
 from repro.harness.figures import figure4
 from repro.serve import ServeClient, ServeConfig, serve_in_thread
 from repro.trace import TraceStore
@@ -61,32 +63,57 @@ def test_served_jobs_run_on_a_pool(inline_fig4, server, monkeypatch):
     assert served.rows == inline_fig4.rows
 
 
-def test_daemon_answers_a_figure_cache_as_hits(tmp_path, monkeypatch):
+def test_served_group_reads_its_trace_once(server, tmp_path, monkeypatch):
+    """A served group verifies its recorded trace and uploads the same
+    bytes: the trace file is read once."""
+    monkeypatch.setattr(figures, "fig4_workloads", lambda: {"fft": ALL["fft"]})
+    reads = []
+    read_bytes = Path.read_bytes
+
+    def spy(path):
+        if path.suffix == ".trace" and tmp_path in path.parents:
+            reads.append(path.name)
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", spy)
+    store = TraceStore(tmp_path)
+    before = store.integrity_stats()["verified_trace_reads"]
+    figure4(server=server.address, trace_cache=store)
+    assert store.integrity_stats()["verified_trace_reads"] == before + 1
+    assert len(reads) == 1
+
+
+def test_daemon_over_a_figure_cache_answers_inline_numbers(tmp_path,
+                                                           monkeypatch):
     """A daemon over the store a ``figure4(trace_cache=...)`` run filled
-    answers every key from the result cache with a complete record, and
-    opens no trace to do it."""
+    answers every ``(trace, spec)`` key with the inline numbers: the
+    figure's results, keyed by module digest, never answer for a trace,
+    and the daemon's replays leave the figure's results in place."""
     names = ("fft", "radix")
     monkeypatch.setattr(figures, "fig4_workloads",
                         lambda: {name: ALL[name] for name in names})
-    figure4(trace_cache=str(tmp_path))
+    cold = figure4(trace_cache=str(tmp_path))
     specs = ("eraser.handtuned", "eraser.full", "eraser.ds_only")
+    inline = {(r.workload, r.spec): r for r in run_batch(
+        [JobSpec(name, spec) for name in names for spec in specs])}
+    traces = TraceStore(tmp_path / "client")
     handle = serve_in_thread(ServeConfig(workers=0, store_root=str(tmp_path)))
     try:
-        store = handle.server.store
-        before = store.integrity_stats()["verified_trace_reads"]
         with ServeClient(handle.address) as client:
             for name in names:
-                meta = store.read_tail_meta(store.trace_path(ALL[name], 1))
+                reader, data = traces.get_or_record_bytes(ALL[name], 1)
                 for spec in specs:
-                    response = client.submit(spec, digest=meta["digest"])
-                    record = response["result"]
-                    assert response["cached"], (name, spec)
-                    assert record["trace_digest"] == meta["digest"]
-                    assert (record["baseline_cycles"]
-                            == meta["summary"]["plain_cycles"])
+                    response = client.submit_digest_first(spec, reader.digest, data)
+                    record, expected = response["result"], inline[(name, spec)]
+                    assert record["trace_digest"] == reader.digest
+                    for field in ("baseline_cycles", "instrumented_cycles",
+                                  "metadata_bytes", "n_reports"):
+                        assert record[field] == getattr(expected, field), \
+                            (name, spec, field)
             snap = client.stats()
-        assert store.integrity_stats()["verified_trace_reads"] == before
     finally:
         handle.stop()
-    assert snap["counters"]["cache_hits"] == len(names) * len(specs)
-    assert snap["counters"].get("cache_misses", 0) == 0
+    assert snap["counters"].get("cache_hits", 0) == 0
+    warm = figure4(trace_cache=str(tmp_path))
+    assert warm.rows == cold.rows
+    assert all(record["cached"] for record in warm.bench)

@@ -132,6 +132,22 @@ def test_concurrent_digest_first_clients_upload_once(make_server, fft_trace):
     assert snap["counters"]["traces_ingested"] == 1
 
 
+def test_digest_first_probes_are_not_errors(make_server, fft_trace):
+    """The ``UNKNOWN_TRACE`` answer to a digest-first probe is a protocol
+    step, upon which the client uploads: it has its own counter and
+    leaves ``errors_total`` at zero."""
+    digest, blob, _plain = fft_trace
+    handle = make_server()
+    for spec in ("eraser.full", "msan.alda"):
+        with ServeClient(handle.address) as client:
+            client.submit_digest_first(spec, digest, blob)
+    with ServeClient(handle.address) as client:
+        counters = client.stats()["counters"]
+    assert counters.get("errors_total", 0) == 0
+    assert counters["unknown_trace_total"] >= 1
+    assert counters["traces_ingested"] == 1
+
+
 @needs_fork
 def test_single_flight_dedupes_concurrent_identical(make_server, fft_trace,
                                                     inject_spec):
